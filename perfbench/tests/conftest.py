@@ -1,0 +1,10 @@
+"""Puts the checkout root (for ``perfbench``) and ``src`` (for the library)
+on the import path, as ``perfbench/run.py`` does."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (str(ROOT / "src"), str(ROOT)):
+    if path not in sys.path:
+        sys.path.insert(0, path)
