@@ -14,6 +14,7 @@ from .algebra import (
     Poly,
     QQ,
     RootInterval,
+    VerificationError,
     ZZ,
     factor,
     isolate_real_roots,

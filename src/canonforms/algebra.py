@@ -21,6 +21,13 @@ class DomainError(ValueError):
     """Operands belong to different (or unsupported) coefficient domains."""
 
 
+class VerificationError(AssertionError):
+    """A result failed the exact re-check of its defining identity.
+
+    Raised explicitly (never through ``assert``), so the checks also run
+    under ``python -O``.  Any occurrence is a bug in the library."""
+
+
 def _is_prime(p: int) -> bool:
     # Trial division; moduli are expected to be small.
     if p < 2:

@@ -8,6 +8,12 @@ decision with verified witness transforms.
 Transforms are recovered uniformly from the Smith reductions of xI - A: if
 U (xI - A) V and U' (xI - B) V' share one Smith form, the matrix polynomial
 V V'^{-1} evaluated at B (powers of B on the right) conjugates A into B.
+
+Each characteristic matrix is reduced once per call, by the tracked Smith
+reduction, and that one reduction supplies everything: its diagonal gives
+the invariant ledger (and decides similarity), V gives the left factor, and
+V^{-1} is carried through the reduction itself, so no transform goes
+through an adjugate or any other matrix inverse over F[x].
 """
 
 from __future__ import annotations
@@ -15,9 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import DomainError, Poly, scalar_is_zero, scalar_key
-from .matrix import Mat, ShapeError, det, mat_inverse, unimodular_inverse
-from .smith import char_matrix, divisor_data, smith_form
+from .algebra import (
+    DomainError,
+    Poly,
+    VerificationError,
+    scalar_is_zero,
+    scalar_key,
+)
+from .matrix import Mat, ShapeError, det, mat_inverse
+from .smith import _ledger, _tracked_smith, char_matrix
 
 
 class SplitFieldRequired(ArithmeticError):
@@ -161,24 +173,32 @@ def _right_value(q: Mat, b: Mat) -> Mat:
     return acc
 
 
-def similarity_transform(a: Mat, b: Mat) -> Mat:
-    """Invertible T with inverse(T) * A * T == B, assuming equal invariant
-    factors; raises if the Smith forms of xI - A and xI - B differ."""
-    xa = char_matrix(a)
-    xb = char_matrix(b)
-    _, sa, va = smith_form(xa)
-    _, sb, vb = smith_form(xb)
-    if sa != sb:
+def _char_smith(a: Mat) -> Tuple[Tuple[Poly, ...], Mat, Mat]:
+    """(Smith diagonal, V, V^{-1}) from the one tracked Smith reduction of
+    xI - A; the diagonal entries are the invariant factors of A."""
+    _, s, v, w = _tracked_smith(char_matrix(a))
+    return tuple(s.entries[k][k] for k in range(s.rows)), v, w
+
+
+def _conjugator(a: Mat, a_red, b: Mat, b_red) -> Mat:
+    """Verified T with inverse(T) * A * T == B from the reductions of xI - A
+    and xI - B; raises ArithmeticError when their Smith forms differ."""
+    diag_a, va, _ = a_red
+    diag_b, _, wb = b_red
+    if diag_a != diag_b:
         raise ArithmeticError("matrices are not similar (Smith forms differ)")
-    q = va * unimodular_inverse(vb)
-    t = _right_value(q, b)
-    d = det(t)
-    assert not scalar_is_zero(d), "similarity transform degenerated"
+    t = _right_value(va * wb, b)
+    if scalar_is_zero(det(t)):
+        raise VerificationError("similarity transform degenerated")
+    if mat_inverse(t) * a * t != b:
+        raise VerificationError("similarity transform fails inverse(T) A T = B")
     return t
 
 
-def _verify_conjugation(a: Mat, t: Mat, target: Mat) -> bool:
-    return mat_inverse(t) * a * t == target
+def similarity_transform(a: Mat, b: Mat) -> Mat:
+    """Invertible T with inverse(T) * A * T == B, assuming equal invariant
+    factors; raises if the Smith forms of xI - A and xI - B differ."""
+    return _conjugator(a, _char_smith(a), b, _char_smith(b))
 
 
 def _block_sort_key(base: Poly, size: int):
@@ -190,20 +210,19 @@ def rational_canonical_form(a: Mat) -> CanonicalResult:
 
     Exists over the base field for every square matrix; no root extraction
     is involved."""
-    dd = divisor_data(a)
+    a_red = _char_smith(a)
+    dd = _ledger(a, a_red[0])
     factors = sorted(dd.nontrivial_invariant_factors(),
                      key=lambda f: _block_sort_key(f, f.degree))
     blocks = [companion(f) for f in factors]
     r = Mat.block_diagonal(a.domain, blocks)
-    t = similarity_transform(a, r)
-    verified = _verify_conjugation(a, t, r)
-    assert verified
+    t = _conjugator(a, a_red, r, _char_smith(r))
     return CanonicalResult(
         kind="rational",
         blocks=tuple(factors),
         matrix=r,
         transform=t,
-        verified=verified,
+        verified=True,
         certified=dd.certified,
     )
 
@@ -213,20 +232,19 @@ def primary_form(a: Mat) -> CanonicalResult:
 
     For a linear irreducible base the block is the Jordan block, so this form
     refines the rational form without ever leaving the base field."""
-    dd = divisor_data(a)
+    a_red = _char_smith(a)
+    dd = _ledger(a, a_red[0])
     divisors = sorted(dd.elementary_divisors,
                       key=lambda be: _block_sort_key(be[0], be[1]))
     blocks = [hypercompanion(base, e) for base, e in divisors]
     h = Mat.block_diagonal(a.domain, blocks)
-    t = similarity_transform(a, h)
-    verified = _verify_conjugation(a, t, h)
-    assert verified
+    t = _conjugator(a, a_red, h, _char_smith(h))
     return CanonicalResult(
         kind="primary",
         blocks=tuple(divisors),
         matrix=h,
         transform=t,
-        verified=verified,
+        verified=True,
         certified=dd.certified,
     )
 
@@ -238,7 +256,8 @@ def jordan_form(a: Mat) -> CanonicalResult:
 
     Raises SplitFieldRequired carrying the offending irreducible factors
     otherwise; primary_form is the base-field fallback."""
-    dd = divisor_data(a)
+    a_red = _char_smith(a)
+    dd = _ledger(a, a_red[0])
     nonlinear = sorted({base for base, _ in dd.elementary_divisors
                         if base.degree != 1},
                        key=lambda f: f.sort_key())
@@ -253,15 +272,13 @@ def jordan_form(a: Mat) -> CanonicalResult:
         blocks.append(jordan_block(a.domain, ev, e))
         pairs.append((ev, e))
     j = Mat.block_diagonal(a.domain, blocks)
-    t = similarity_transform(a, j)
-    verified = _verify_conjugation(a, t, j)
-    assert verified
+    t = _conjugator(a, a_red, j, _char_smith(j))
     return CanonicalResult(
         kind="jordan",
         blocks=tuple(pairs),
         matrix=j,
         transform=t,
-        verified=verified,
+        verified=True,
         structure=eldiv_to_jordan(divisors),
     )
 
@@ -293,15 +310,14 @@ def similar(a: Mat, b: Mat) -> Tuple[bool, Optional[Mat]]:
     """Decide similarity; on success also return a verified witness T with
     inverse(T) * A * T == B.
 
-    The decision compares the full invariant ledgers (equal elementary
-    divisors iff equal invariant factors); the witness composes the Smith
-    transforms of both characteristic matrices."""
+    The decision compares the Smith diagonals of xI - A and xI - B, which
+    are the invariant factors, so nothing is factored; the witness composes
+    the transforms of those same two reductions."""
     if a.domain != b.domain:
         raise DomainError("similarity needs a common base field")
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise ShapeError("similarity needs square matrices of equal size")
-    if divisor_data(a).invariant_factors != divisor_data(b).invariant_factors:
+    a_red, b_red = _char_smith(a), _char_smith(b)
+    if a_red[0] != b_red[0]:
         return False, None
-    t = similarity_transform(a, b)
-    assert _verify_conjugation(a, t, b)
-    return True, t
+    return True, _conjugator(a, a_red, b, b_red)

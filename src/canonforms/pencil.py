@@ -20,6 +20,7 @@ from .algebra import (
     HomogeneousPoint,
     Poly,
     RationalField,
+    VerificationError,
     factor,
     scalar_is_zero,
     scalar_key,
@@ -303,8 +304,8 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
     except WitnessUnavailable:
         return True, None
     ht = h.transpose()
-    assert ht * pc1.p * k == pc2.p and ht * pc1.q * k == pc2.q, \
-        "pencil witness failed verification"
+    if ht * pc1.p * k != pc2.p or ht * pc1.q * k != pc2.q:
+        raise VerificationError("pencil witness failed verification")
     return True, (h, k)
 
 
@@ -328,7 +329,9 @@ def _strict_equivalence_witness(pc1: Pencil, pc2: Pencil) -> Tuple[Mat, Mat]:
     a1 = mat_inverse(p1) * q1
     a2 = mat_inverse(p2) * q2
     ok, t = similar(a1, a2)
-    assert ok, "matching invariants must give similar shifted members"
+    if not ok:
+        raise VerificationError(
+            "matching invariants must give similar shifted members")
     t_inv = mat_inverse(t)
     # H^T = P2 T^{-1} P1^{-1}:  H^T (u P1 + v Q1) T = u P2 + v Q2
     ht = p2 * t_inv * mat_inverse(p1)

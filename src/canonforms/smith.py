@@ -17,6 +17,7 @@ from .algebra import (
     DomainError,
     IntegerRing,
     Poly,
+    VerificationError,
     factor,
     poly_gcd,
     scalar_is_zero,
@@ -98,14 +99,38 @@ def smith_form(m: Mat) -> Tuple[Mat, Mat, Mat]:
     (over Z) entries; trailing zeros are allowed for rank-deficient input.
     The identity U*M*V = S is re-verified exactly before returning.
     """
-    a, u, v = _smith_reduce(m, track=True)
+    u, s, v, _ = _tracked_smith(m)
+    return u, s, v
+
+
+def _tracked_smith(m: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
+    """(U, S, V, W) with U*M*V = S and W = V^{-1}, all re-verified exactly.
+
+    W is carried through the reduction, so no inverse is ever computed.
+    When S is square with no zero on its diagonal, the check U*M = S*W
+    reuses the U*M product: together with U*M*V = S it gives
+    S*(W*V - I) = 0, hence W*V = I.  Otherwise V*W = I is checked directly.
+    """
+    a, u, v, w = _smith_reduce(m, track=True)
     dom = m.domain
     s = Mat(dom, a)
     um = Mat(dom, u)
     vm = Mat(dom, v)
-    assert um * m * vm == s, "Smith reduction identity violated"
-    _assert_divisibility_chain(s, _ops_for(dom))
-    return um, s, vm
+    wm = Mat(dom, w)
+    um_m = um * m
+    if um_m * vm != s:
+        raise VerificationError("Smith reduction identity U M V = S violated")
+    diag = [a[k][k] for k in range(min(m.rows, m.cols))]
+    if m.is_square() and not any(scalar_is_zero(d) for d in diag):
+        sw = Mat._raw(dom, tuple(tuple(d * x for x in row)
+                                 for d, row in zip(diag, wm.entries)))
+        inverse_ok = um_m == sw
+    else:
+        inverse_ok = vm * wm == Mat.identity(dom, m.cols)
+    if not inverse_ok:
+        raise VerificationError("tracked inverse W = V^{-1} violated")
+    _check_divisibility_chain(diag, _ops_for(dom))
+    return um, s, vm, wm
 
 
 def _smith_reduce(m: Mat, track: bool):
@@ -114,12 +139,16 @@ def _smith_reduce(m: Mat, track: bool):
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
     if track:
+        # W = V^{-1}: every column operation on V applies its inverse to W
+        # as a row operation
         u = [[dom.one if i == j else dom.zero for j in range(nr)]
              for i in range(nr)]
         v = [[dom.one if i == j else dom.zero for j in range(nc)]
              for i in range(nc)]
+        w = [[dom.one if i == j else dom.zero for j in range(nc)]
+             for i in range(nc)]
     else:
-        u = v = None
+        u = v = w = None
 
     def swap_rows(i, j):
         if i != j:
@@ -134,6 +163,7 @@ def _smith_reduce(m: Mat, track: bool):
             if track:
                 for row in v:
                     row[i], row[j] = row[j], row[i]
+                w[i], w[j] = w[j], w[i]
 
     def row_sub(i, j, q):
         # row_i -= q * row_j
@@ -148,6 +178,8 @@ def _smith_reduce(m: Mat, track: bool):
         if track:
             for row in v:
                 row[i] = row[i] - q * row[j]
+            # the inverse operation: W[j] += q * W[i]
+            w[j] = [x + q * y for x, y in zip(w[j], w[i])]
 
     def find_pivot(t):
         best = None
@@ -219,7 +251,7 @@ def _smith_reduce(m: Mat, track: bool):
             a[k][k] = ops.exact_div(d, unit)
             if track:
                 u[k] = [_unit_div(x, unit, dom) for x in u[k]]
-    return a, u, v
+    return a, u, v, w
 
 
 def _unit_div(x, unit, dom):
@@ -229,14 +261,13 @@ def _unit_div(x, unit, dom):
     return x * Poly.constant(dom.base, inv)
 
 
-def _assert_divisibility_chain(s: Mat, ops) -> None:
-    n = min(s.rows, s.cols)
-    for k in range(n - 1):
-        d1, d2 = s.entries[k][k], s.entries[k + 1][k + 1]
+def _check_divisibility_chain(diag: Sequence, ops) -> None:
+    for d1, d2 in zip(diag, diag[1:]):
         if scalar_is_zero(d1):
-            assert scalar_is_zero(d2), "zero before nonzero on Smith diagonal"
-        elif not scalar_is_zero(d2):
-            assert ops.divides(d1, d2), "Smith diagonal divisibility violated"
+            if not scalar_is_zero(d2):
+                raise VerificationError("zero before nonzero on Smith diagonal")
+        elif not scalar_is_zero(d2) and not ops.divides(d1, d2):
+            raise VerificationError("Smith diagonal divisibility violated")
 
 
 def smith_diagonal(m: Mat) -> List:
@@ -244,14 +275,9 @@ def smith_diagonal(m: Mat) -> List:
 
     Runs the same reduction as smith_form without tracking the transforms
     (the invariant-ledger paths never need them)."""
-    a, _, _ = _smith_reduce(m, track=False)
+    a, _, _, _ = _smith_reduce(m, track=False)
     diag = [a[k][k] for k in range(min(m.rows, m.cols))]
-    ops = _ops_for(m.domain)
-    for d1, d2 in zip(diag, diag[1:]):
-        if scalar_is_zero(d1):
-            assert scalar_is_zero(d2), "zero before nonzero on Smith diagonal"
-        elif not scalar_is_zero(d2):
-            assert ops.divides(d1, d2), "Smith diagonal divisibility violated"
+    _check_divisibility_chain(diag, _ops_for(m.domain))
     return diag
 
 
@@ -427,6 +453,8 @@ def _divisor_str(base: Poly, exp: int, var: str) -> str:
 
 def char_matrix(a: Mat) -> Mat:
     """xI - A over the polynomial ring on A's field."""
+    if not a.is_square():
+        raise ShapeError("characteristic matrix of a non-square matrix")
     ring = PolynomialRing(a.domain)
     n = a.rows
     ent = []
@@ -456,9 +484,13 @@ def divisor_data(a: Mat) -> DivisorData:
         raise ShapeError("divisor data of a non-square matrix")
     if not a.domain.is_field:
         raise DomainError("divisor_data requires a field domain")
-    x_mat = char_matrix(a)
-    diag = smith_diagonal(x_mat)
-    assert all(not d.is_zero() for d in diag), "xI - A must have full rank"
+    return _ledger(a, smith_diagonal(char_matrix(a)))
+
+
+def _ledger(a: Mat, diag: Sequence[Poly]) -> DivisorData:
+    """The invariant ledger of A from the Smith diagonal of xI - A."""
+    if any(d.is_zero() for d in diag):
+        raise VerificationError("xI - A must have full rank")
     chain = []
     acc = Poly.one(a.domain)
     for d in diag:
