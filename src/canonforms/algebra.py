@@ -608,11 +608,8 @@ def poly_extended_gcd(f: Poly, g: Poly):
 
 def squarefree_part(f: Poly) -> Poly:
     """Monic product of the distinct irreducible factors of f."""
-    parts = squarefree_decompose(f)
-    out = Poly.one(f.domain)
-    for g, _ in parts:
-        out = out * g
-    return out
+    return math.prod((g for g, _ in squarefree_decompose(f)),
+                     start=Poly.one(f.domain))
 
 
 def squarefree_decompose(f: Poly):
@@ -1036,9 +1033,8 @@ def rational_roots(f: Poly):
 
 
 def _sturm_chain(f: Poly):
-    """Sturm chain of the square-free part of f, with positive-scalar scaling
+    """Sturm chain of a square-free f, with positive-scalar scaling
     (pseudo-remainders with content stripping) to limit coefficient growth."""
-    f = squarefree_part(f)
     chain = [f]
     if f.degree >= 1:
         chain.append(_strip_content(f.derivative()))
@@ -1079,6 +1075,13 @@ def _variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _chain_count(chain, lo=None, hi=None) -> int:
+    """Distinct real roots in (lo, hi] counted against a prebuilt Sturm
+    chain; ``None`` bounds mean -infinity / +infinity."""
+    return (_variations(chain, "-inf" if lo is None else lo)
+            - _variations(chain, "+inf" if hi is None else hi))
+
+
 def sturm_count(f: Poly, lo=None, hi=None) -> int:
     """Number of distinct real roots of f in the half-open interval (lo, hi].
 
@@ -1091,12 +1094,11 @@ def sturm_count(f: Poly, lo=None, hi=None) -> int:
         raise DomainError("sturm_count requires a polynomial over Q")
     if f.degree == 0:
         return 0
-    a = "-inf" if lo is None else Fraction(lo)
-    b = "+inf" if hi is None else Fraction(hi)
-    if a != "-inf" and b != "+inf" and a >= b:
+    lo = None if lo is None else Fraction(lo)
+    hi = None if hi is None else Fraction(hi)
+    if lo is not None and hi is not None and lo >= hi:
         raise ValueError("empty interval")
-    chain = _sturm_chain(f)
-    return _variations(chain, a) - _variations(chain, b)
+    return _chain_count(_sturm_chain(squarefree_part(f)), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -1139,8 +1141,9 @@ def isolate_real_roots(f: Poly):
         rest = rest.exact_div(Poly.linear(QQ, r))
     out = [RootInterval(r, r) for r in rats]
     if rest.degree >= 1:
+        chain = _sturm_chain(rest)
         bound = root_bound(rest)
-        work = [(-bound, bound, sturm_count(rest, -bound, bound))]
+        work = [(-bound, bound, _chain_count(chain, -bound, bound))]
         found = []
         while work:
             lo, hi, cnt = work.pop()
@@ -1150,7 +1153,7 @@ def isolate_real_roots(f: Poly):
                 found.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            left = sturm_count(rest, lo, mid)
+            left = _chain_count(chain, lo, mid)
             work.append((lo, mid, left))
             work.append((mid, hi, cnt - left))
         # shrink until intervals avoid the rational roots and one another
@@ -1161,7 +1164,7 @@ def isolate_real_roots(f: Poly):
             while (any(lo <= r <= hi for r in blocked)
                    or (prev_hi is not None and lo <= prev_hi)):
                 mid = (lo + hi) / 2
-                if sturm_count(rest, lo, mid) == 1:
+                if _chain_count(chain, lo, mid) == 1:
                     hi = mid
                 else:
                     lo = mid

@@ -449,9 +449,9 @@ def _cmd_similar(args) -> Tuple[int, _Report]:
             rep.say(_mat_human(t))
     else:
         rep.say("NOT SIMILAR")
-        dda, ddb = divisor_data(a), divisor_data(b)
-        rep.say("A divisors: " + ", ".join(_divisor_strs(dda.elementary_divisors, HUMAN_VAR)))
-        rep.say("B divisors: " + ", ".join(_divisor_strs(ddb.elementary_divisors, HUMAN_VAR)))
+        for name, m in (("A", a), ("B", b)) if not args.json else ():
+            eldiv = divisor_data(m).elementary_divisors   # human report only
+            rep.say(f"{name} divisors: " + ", ".join(_divisor_strs(eldiv, HUMAN_VAR)))
     return EXIT_OK, rep
 
 
@@ -472,7 +472,8 @@ def _cmd_pencil_eldiv(args) -> Tuple[int, _Report]:
     rep.invariants["regular"] = inv.regular
     rep.invariants["rank"] = inv.rank
     rep.invariants["divisors"] = _pencil_divisor_strs(inv.multiset(), "x")
-    rep.invariants["determinant_form"] = pencil_det(pc).render()
+    form = pencil_det(pc).render()
+    rep.invariants["determinant_form"] = form
     if inv.regular:
         rep.say("regular pencil")
         rep.say("divisors: " + ", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)))
@@ -481,7 +482,7 @@ def _cmd_pencil_eldiv(args) -> Tuple[int, _Report]:
                 "canonical minimal-index theory out of scope")
         rep.say("well-defined finite gcd data: " +
                 (", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)) or "none"))
-    rep.say(f"det(uP + vQ) = {pencil_det(pc).render()}")
+    rep.say(f"det(uP + vQ) = {form}")
     return EXIT_OK, rep
 
 
@@ -513,8 +514,8 @@ def _cmd_pencil_equiv(args) -> Tuple[int, _Report]:
                 rep.say(_mat_human(k))
     else:
         rep.say("NOT EQUIVALENT")
-        for name, pc in (("first", pc1), ("second", pc2)):
-            inv = pencil_divisors(pc)
+        for name, pc in (("first", pc1), ("second", pc2)) if not args.json else ():
+            inv = pencil_divisors(pc)   # human report only
             rep.say(f"{name} divisors: " +
                     ", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)))
     return EXIT_OK, rep
@@ -711,21 +712,29 @@ def _random_unimodular(dom, n: int, rng: random.Random) -> Mat:
 # Argument parsing and dispatch
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output (byte-stable)")
-    common.add_argument("--no-transform", action="store_true",
-                        help="omit transform matrices from the output")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized self-tests")
+def _global_flags(**defaults) -> argparse.ArgumentParser:
+    # without defaults (a subcommand's copy) a flag given before the
+    # subcommand keeps its value
+    flags = argparse.ArgumentParser(add_help=False,
+                                    argument_default=argparse.SUPPRESS)
+    flags.add_argument("--json", action="store_true",
+                       help="machine-readable output (byte-stable)")
+    flags.add_argument("--no-transform", action="store_true",
+                       help="omit transform matrices from the output")
+    flags.add_argument("--seed", type=int,
+                       help="seed for randomized self-tests")
+    flags.set_defaults(**defaults)
+    return flags
 
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="canonforms",
         description="Exact canonical forms, invariant factors, and "
                     "matrix-pencil invariants.",
-        parents=[common],
+        parents=[_global_flags(json=False, no_transform=False, seed=0)],
     )
+    common = _global_flags()
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_, *file_args):

@@ -374,21 +374,30 @@ def adjugate(m: Mat) -> Mat:
     """Transpose of the cofactor matrix; satisfies M * adj(M) = det(M) * I."""
     if not m.is_square():
         raise ShapeError("adjugate of a non-square matrix")
+    return Mat(m.domain, zip(*(_adjugate_column(m, j) for j in range(m.rows))))
+
+
+def _adjugate_column(m: Mat, j: int) -> tuple:
+    """Column j of adj(M): the signed cofactors of row j of a square M
+    (n minors of order n - 1; adj of a 1x1 matrix is [1])."""
     n = m.rows
-    dom = m.domain
     if n == 1:
-        return Mat(dom, ((dom.one,),))
-    idx = list(range(n))
-    out = [[dom.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows = [x for x in idx if x != i]
-        for j in range(n):
-            cols = [x for x in idx if x != j]
-            c = det(m.submatrix(rows, cols))
-            if (i + j) % 2:
-                c = -c
-            out[j][i] = c  # transposed
-    return Mat(dom, out)
+        return (m.domain.one,)
+    idx = range(n)
+    rows = [x for x in idx if x != j]
+    out = []
+    for i in idx:
+        c = det(m.submatrix(rows, [x for x in idx if x != i]))
+        out.append(-c if (i + j) % 2 else c)
+    return tuple(out)
+
+
+def _linear_pencil(first: Mat, second: Mat) -> Mat:
+    """x * first + second over the polynomial ring on their domain."""
+    dom = first.domain
+    return Mat(PolynomialRing(dom),
+               ((Poly(dom, (b, a)) for a, b in zip(r1, r2))
+                for r1, r2 in zip(first.entries, second.entries)))
 
 
 def rref(m: Mat) -> Tuple[Mat, List[int]]:

@@ -11,6 +11,10 @@ vanishes there (which happens exactly when the root's geometric multiplicity
 exceeds one) the exact nullspace is used instead and the mode is marked
 degenerate.
 
+A report computes each intermediate once: K - s M (the x P + Q builder of
+matrix.py), its determinant, one root analysis, and at most one polynomial
+adjugate column (n cofactors), shared by every irrational root.
+
 Two stability verdicts are reported side by side: the 1766 trichotomy that
 demotes every repeated root to conditional stability, and the 1858 criterion
 for which only the signs of the (always real) roots matter.  Their
@@ -19,6 +23,7 @@ disagreement is confined to repeated positive roots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -28,13 +33,15 @@ from .algebra import (
     Poly,
     QQ,
     RootInterval,
+    VerificationError,
+    _chain_count,
+    _sturm_chain,
     isolate_real_roots,
     rational_roots,
     scalar_is_zero,
     squarefree_decompose,
-    sturm_count,
 )
-from .matrix import Mat, PolynomialRing, ShapeError, adjugate, det, nullspace
+from .matrix import Mat, ShapeError, _adjugate_column, _linear_pencil, det, nullspace
 
 
 @dataclass(frozen=True)
@@ -69,17 +76,9 @@ class OscSystem:
 def char_poly(sys: OscSystem) -> Poly:
     """det(K - s M) as an exact polynomial in s (degree n, leading
     coefficient (-1)^n det M)."""
-    n = sys.size
-    ring = PolynomialRing(QQ)
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(Poly(QQ, (sys.stiffness.entries[i][j],
-                                 -sys.mass.entries[i][j])))
-        ent.append(row)
-    f = det(Mat(ring, ent))
-    assert f.degree == n, "definite mass must keep the full degree"
+    f = det(_linear_pencil(-sys.mass, sys.stiffness))
+    if f.degree != sys.size:
+        raise VerificationError("definite mass must keep the full degree")
     return f
 
 
@@ -103,24 +102,25 @@ def eigvec_adjugate(sys: OscSystem, root) -> AdjugateEigenvector:
     """Adjugate-column eigenvector at an exact rational root of char_poly.
 
     Raises ValueError when the argument is not a root.  The returned vector
-    satisfies (K - s M) v = 0 exactly.
+    satisfies (K - s M) v = 0 exactly.  adj(K - s M) vanishes exactly when
+    the eigenspace has dimension two or more, so its columns are computed
+    only for a one-dimensional eigenspace, in order up to the first nonzero.
     """
     s = Fraction(root)
     w = sys.stiffness - sys.mass * s
-    if char_poly(sys)(s) != 0:
+    if det(w) != 0:
         raise ValueError(f"{s} is not a characteristic root")
-    adj = adjugate(w)
-    column = None
-    for j in range(w.cols):
-        col = tuple(adj.entries[i][j] for i in range(w.rows))
-        if any(not scalar_is_zero(c) for c in col):
-            column = col
-            break
     basis = tuple(nullspace(w))
-    if column is not None:
-        assert _apply(w, column) == (Fraction(0),) * w.rows
-        return AdjugateEigenvector(vector=column, degenerate=False, basis=basis)
-    assert basis, "a characteristic root must have an eigenvector"
+    if not basis:
+        raise VerificationError("a characteristic root must have an eigenvector")
+    if len(basis) == 1:
+        for j in range(w.cols):
+            column = _adjugate_column(w, j)
+            if any(not scalar_is_zero(c) for c in column):
+                if _apply(w, column) != (Fraction(0),) * w.rows:
+                    raise VerificationError("adjugate column is not in the kernel")
+                return AdjugateEigenvector(vector=column, degenerate=False,
+                                           basis=basis)
     return AdjugateEigenvector(vector=basis[0], degenerate=True, basis=basis)
 
 
@@ -132,17 +132,8 @@ def _apply(m: Mat, v: Sequence) -> Tuple:
 def adjugate_column_polynomials(sys: OscSystem, column: int = 0) -> Tuple[Poly, ...]:
     """One column of adj(K - s M) as polynomials in s (the closed-form
     eigenvector recipe, to be evaluated at a root)."""
-    n = sys.size
-    ring = PolynomialRing(QQ)
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(Poly(QQ, (sys.stiffness.entries[i][j],
-                                 -sys.mass.entries[i][j])))
-        ent.append(row)
-    adj = adjugate(Mat(ring, ent))
-    return tuple(adj.entries[i][column] for i in range(n))
+    return _adjugate_column(_linear_pencil(-sys.mass, sys.stiffness),
+                            range(sys.size)[column])
 
 
 @dataclass(frozen=True)
@@ -186,8 +177,8 @@ def inertia(k: Mat) -> InertiaResult:
         qp = sum(1 for q in quotients if q > 0)
         qn = sum(1 for q in quotients if q < 0)
         qz = sum(1 for q in quotients if q == 0)
-        assert (qp, qn, qz) == (pos, neg, zero), \
-            "quotient and elimination signatures disagree"
+        if (qp, qn, qz) != (pos, neg, zero):
+            raise VerificationError("quotient and elimination signatures disagree")
     return InertiaResult(pos, neg, zero, quotients)
 
 
@@ -275,16 +266,18 @@ class RootSummary:
 def analyze_roots(sys: OscSystem) -> RootSummary:
     f = char_poly(sys)
     n = sys.size
-    sf_degree = sum(g.degree for g, _ in squarefree_decompose(f))
-    distinct = sturm_count(f)
+    parts = squarefree_decompose(f)
+    sf_degree = sum(g.degree for g, _ in parts)
+    chain = _sturm_chain(math.prod((g for g, _ in parts), start=Poly.one(QQ)))
+    distinct = _chain_count(chain)
     all_real = distinct == sf_degree
-    positive = sturm_count(f, 0, None)
+    positive = _chain_count(chain, Fraction(0))
     zero = f(0) == 0
     negative = distinct - positive - (1 if zero else 0)
     repeated = sf_degree < n
-    mult = _root_multiplicities(f)
-    if all_real:
-        assert sum(m for _, m in mult) == n, "multiplicities must sum to n"
+    mult = _root_multiplicities(parts)
+    if all_real and sum(m for _, m in mult) != n:
+        raise VerificationError("multiplicities must sum to n")
     return RootSummary(
         poly=f,
         distinct=distinct,
@@ -297,30 +290,33 @@ def analyze_roots(sys: OscSystem) -> RootSummary:
     )
 
 
-def _root_multiplicities(f: Poly) -> Tuple[Tuple[object, int], ...]:
-    """Distinct roots with multiplicities: exact rationals come back as
-    Fractions, irrational roots as sign-definite isolating RootIntervals."""
+def _root_multiplicities(parts) -> Tuple[Tuple[object, int], ...]:
+    """Distinct roots with multiplicities from the square-free parts of f:
+    exact rationals come back as Fractions, irrational roots as
+    sign-definite isolating RootIntervals."""
     out: List[Tuple[object, int]] = []
-    for g, m in squarefree_decompose(f):
+    for g, m in parts:
         rats = [r for r, _ in rational_roots(g)]
         rest = g
         for r in rats:
             rest = rest.exact_div(Poly.linear(QQ, r))
             out.append((r, m))
         if rest.degree >= 1:
+            chain = _sturm_chain(rest)
             for iv in isolate_real_roots(rest):
-                out.append((_sign_definite(rest, iv), m))
+                out.append((_sign_definite(chain, iv), m))
     out.sort(key=_root_position)
     return tuple(out)
 
 
-def _sign_definite(g: Poly, iv: RootInterval) -> RootInterval:
+def _sign_definite(chain, iv: RootInterval) -> RootInterval:
     """Shrink an isolating interval until it does not straddle zero (the
-    root itself is irrational here, so finitely many bisections suffice)."""
+    root itself is irrational here, so finitely many bisections suffice);
+    ``chain`` is the Sturm chain of the square-free polynomial isolated."""
     lo, hi = iv.lo, iv.hi
     while lo < 0 < hi:
         mid = (lo + hi) / 2
-        if sturm_count(g, lo, mid) == 1:
+        if _chain_count(chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -351,9 +347,13 @@ class StabilityVerdicts:
 
 
 def classify_stability(sys: OscSystem) -> StabilityVerdicts:
-    summary = analyze_roots(sys)
-    assert summary.all_real, "symmetric definite systems must have real roots"
-    if summary.negative > 0 or not summary.all_real:
+    return _verdicts(analyze_roots(sys))
+
+
+def _verdicts(summary: RootSummary) -> StabilityVerdicts:
+    if not summary.all_real:
+        raise VerificationError("symmetric definite systems must have real roots")
+    if summary.negative > 0:
         # a growing mode: no stability at all
         lagrange = "unstable"
     elif summary.positive == summary.distinct and not summary.repeated:
@@ -415,7 +415,6 @@ def _sqrt_exact(q: Fraction) -> Optional[Fraction]:
 
 
 def _isqrt_exact(v: int) -> Optional[int]:
-    import math
     r = math.isqrt(v)
     return r if r * r == v else None
 
@@ -448,25 +447,24 @@ def mode_report(sys: OscSystem) -> ModeReport:
     """Every root with certificate, eigenvector data, both verdicts, and a
     rendered general-solution template."""
     summary = analyze_roots(sys)
-    verdicts = classify_stability(sys)
+    verdicts = _verdicts(summary)
     modes = []
     notes: List[str] = []
+    # one polynomial adjugate column serves every irrational root
+    irrational = any(isinstance(root, RootInterval) for root, _ in summary.roots)
+    cols = adjugate_column_polynomials(sys) if irrational else None
     for idx, (root, mult) in enumerate(summary.roots):
         kind, template = _mode_template(idx, root, mult)
-        if isinstance(root, RootInterval):
-            cols = adjugate_column_polynomials(sys)
-            modes.append(Mode(root=root, multiplicity=mult, eigenvector=None,
-                              column_polynomials=cols, kind=kind,
-                              template=template))
-        else:
+        vec = None
+        if not isinstance(root, RootInterval):
             vec = eigvec_adjugate(sys, root)
             if vec.degenerate:
                 notes.append(
                     f"mode {idx + 1}: generic formula degenerate "
                     f"(adjugate vanishes at s = {root}); exact nullspace basis used")
-            modes.append(Mode(root=root, multiplicity=mult, eigenvector=vec,
-                              column_polynomials=None, kind=kind,
-                              template=template))
+        modes.append(Mode(root=root, multiplicity=mult, eigenvector=vec,
+                          column_polynomials=cols if vec is None else None,
+                          kind=kind, template=template))
     if summary.repeated and verdicts.weierstrass_1858 == "stable":
         notes.append("repeated root, stable: t does NOT leave the sine")
     template = " + ".join(m.template for m in modes) if modes else "0"

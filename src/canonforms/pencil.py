@@ -26,7 +26,7 @@ from .algebra import (
     scalar_key,
 )
 from .canonical import hypercompanion, jordan_block, similar
-from .matrix import Mat, PolynomialRing, ShapeError, det, mat_inverse
+from .matrix import Mat, ShapeError, _linear_pencil, det, mat_inverse
 from .smith import smith_diagonal
 
 
@@ -135,8 +135,8 @@ def pencil_det(pc: Pencil) -> BinaryForm:
     """
     n = pc.size
     dom = pc.domain
-    fx = det(_dehomogenize(pc.p, pc.q))     # det(x P + Q)
-    gy = det(_dehomogenize(pc.q, pc.p))     # det(P + y Q)
+    fx = det(_linear_pencil(pc.p, pc.q))     # det(x P + Q)
+    gy = det(_linear_pencil(pc.q, pc.p))     # det(P + y Q)
     form = BinaryForm(dom, n, [fx.coeff(k) for k in range(n + 1)])
     mirror = BinaryForm(dom, n, [gy.coeff(n - k) for k in range(n + 1)])
     assert form == mirror, "dehomogenizations disagree"
@@ -145,16 +145,6 @@ def pencil_det(pc: Pencil) -> BinaryForm:
                             for r1, r2 in zip(pc.p.entries, pc.q.entries))))
         assert form.evaluate(dom.one, t) == lhs, "determinant form evaluation mismatch"
     return form
-
-
-def _dehomogenize(first: Mat, second: Mat) -> Mat:
-    """x * first + second over the polynomial ring."""
-    dom = first.domain
-    ring = PolynomialRing(dom)
-    ent = []
-    for r1, r2 in zip(first.entries, second.entries):
-        ent.append([Poly(dom, (b, a)) for a, b in zip(r1, r2)])
-    return Mat(ring, ent)
 
 
 def _parameter_points(dom, count: int):
@@ -182,8 +172,8 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
     """
     n = pc.size
     dom = pc.domain
-    x_side = smith_diagonal(_dehomogenize(pc.p, pc.q))
-    y_side = smith_diagonal(_dehomogenize(pc.q, pc.p))
+    x_side = smith_diagonal(_linear_pencil(pc.p, pc.q))
+    y_side = smith_diagonal(_linear_pencil(pc.q, pc.p))
     rank = sum(1 for d in x_side if not d.is_zero())
     rank_y = sum(1 for d in y_side if not d.is_zero())
     rank = max(rank, rank_y)
@@ -220,7 +210,7 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
     )
     if regular:
         assert inv.total_degree() == n, "divisor degrees must sum to n"
-        fx = det(_dehomogenize(pc.p, pc.q))
+        fx = det(_linear_pencil(pc.p, pc.q))
         assert fx.degree == degree_det, "infinity bookkeeping mismatch"
     return inv
 

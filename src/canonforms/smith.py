@@ -22,7 +22,7 @@ from .algebra import (
     poly_gcd,
     scalar_is_zero,
 )
-from .matrix import Mat, PolynomialRing, ShapeError, det, k_minors
+from .matrix import Mat, PolynomialRing, ShapeError, _linear_pencil, det, k_minors
 
 
 class _IntOps:
@@ -455,18 +455,7 @@ def char_matrix(a: Mat) -> Mat:
     """xI - A over the polynomial ring on A's field."""
     if not a.is_square():
         raise ShapeError("characteristic matrix of a non-square matrix")
-    ring = PolynomialRing(a.domain)
-    n = a.rows
-    ent = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Poly(a.domain, (-a.entries[i][j], a.domain.one)))
-            else:
-                row.append(Poly(a.domain, (-a.entries[i][j],)))
-        ent.append(row)
-    return Mat(ring, ent)
+    return _linear_pencil(Mat.identity(a.domain, a.rows), -a)
 
 
 def char_poly_of(a: Mat) -> Poly:

@@ -5,12 +5,14 @@ import json
 
 import pytest
 
+import canonforms.cli as cli
 from canonforms.algebra import GF, QQ
 from canonforms.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REFUSED,
     MatrixParseError,
+    build_parser,
     parse_matrix,
     print_matrix,
     run,
@@ -116,6 +118,45 @@ def test_similar_not_similar_exit_zero(tmp_path):
     code, out = invoke(["similar", a, b])
     assert code == EXIT_OK
     assert "NOT SIMILAR" in out
+
+
+def _no_call(*args):
+    raise AssertionError("the --json report must not recompute invariants")
+
+
+def test_not_similar_json_skips_the_human_divisor_lines(tmp_path, monkeypatch):
+    a = write(tmp_path, "a.mat", CHAIN3_TEXT)
+    b = write(tmp_path, "b.mat",
+              "FIELD Q\nROWS 3 COLS 3\n1 0 0\n0 2 0\n0 0 3\n")
+    code, out = invoke(["similar", a, b])
+    assert out == ("NOT SIMILAR\nA divisors: (λ), (λ-1), (λ-3)\n"
+                   "B divisors: (λ-1), (λ-2), (λ-3)\n")
+    monkeypatch.setattr(cli, "divisor_data", _no_call)
+    code, out = invoke(["similar", "--json", a, b])
+    assert code == EXIT_OK and json.loads(out)["invariants"] == {"similar": False}
+
+
+def test_not_equivalent_json_skips_the_human_divisor_lines(tmp_path, monkeypatch):
+    p = write(tmp_path, "p.mat", "FIELD Q\nROWS 2 COLS 2\n1 0\n0 1\n")
+    q = write(tmp_path, "q.mat", "FIELD Q\nROWS 2 COLS 2\n-1 0\n0 -2\n")
+    q2 = write(tmp_path, "q2.mat", "FIELD Q\nROWS 2 COLS 2\n-1 1\n0 -1\n")
+    code, out = invoke(["pencil-equiv", p, q, p, q2])
+    assert out == ("NOT EQUIVALENT\nfirst divisors: (λ-1), (λ-2)\n"
+                   "second divisors: (λ-1)^2\n")
+    monkeypatch.setattr(cli, "pencil_divisors", _no_call)
+    code, out = invoke(["pencil-equiv", "--json", p, q, p, q2])
+    assert code == EXIT_OK and json.loads(out)["invariants"] == {"equivalent": False}
+
+
+def test_pencil_eldiv_computes_the_determinant_form_once(tmp_path, monkeypatch):
+    p = write(tmp_path, "p.mat", "FIELD Q\nROWS 2 COLS 2\n1 0\n0 1\n")
+    q = write(tmp_path, "q.mat", "FIELD Q\nROWS 2 COLS 2\n-1 1\n0 -1\n")
+    calls = []
+    orig = cli.pencil_det
+    monkeypatch.setattr(cli, "pencil_det", lambda pc: calls.append(pc) or orig(pc))
+    code, out = invoke(["pencil-eldiv", p, q])
+    assert out.endswith("det(uP + vQ) = u^2 - 2uv + v^2\n")
+    assert len(calls) == 1
 
 
 def test_similar_with_witness(tmp_path):
@@ -237,3 +278,19 @@ def test_json_machine_variable_is_x(tmp_path):
     assert payload["invariants"]["invariant_factors"] == \
         ["1", "1", "x^3-4x^2+3x"]
     assert "λ" not in out
+
+
+@pytest.mark.parametrize("flag,argv", [
+    (["--json"], ["eldiv"]),
+    (["--no-transform"], ["jordan"]),
+    (["--seed", "7"], ["verify", "--json"]),
+], ids=["json", "no-transform", "seed"])
+def test_global_flag_before_or_after_the_subcommand(tmp_path, flag, argv):
+    path = write(tmp_path, "a.mat", CHAIN3_TEXT)
+    before = flag + argv + [path]
+    after = argv[:1] + flag + argv[1:] + [path]
+    assert invoke(before) == invoke(after)
+    assert build_parser().parse_args(before) == build_parser().parse_args(after)
+    if flag != ["--seed", "7"]:
+        assert invoke(before) != invoke(argv + [path])
+    assert build_parser().parse_args(before).seed == (7 if "--seed" in flag else 0)

@@ -1,0 +1,251 @@
+"""One mode report computes each intermediate once, and its checks are
+explicit: the same eigenvectors as the full-adjugate route, one
+characteristic polynomial, one root analysis, at most one polynomial
+cofactor column, and VerificationError (also under ``python -O``) when a
+re-check fails."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import canonforms.matrix as matrix
+import canonforms.oscillations as osc
+from canonforms.algebra import Poly, QQ, RootInterval, VerificationError, scalar_is_zero
+from canonforms.matrix import Mat, PolynomialRing, det
+from canonforms.oscillations import OscSystem, mode_report
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+I3 = Mat.identity(QQ, 3)
+# roots (3 - sqrt 5)/2, (3 + sqrt 5)/2 and 5
+MIXED = OscSystem(I3, Mat(QQ, [[2, 1, 0], [1, 1, 0], [0, 0, 5]]))
+
+
+# ---------------------------------------------------------------------------
+# the old route, kept here as the oracle: an inline K - s M and the full
+# n x n adjugate (n^2 cofactors)
+
+
+def _full_adjugate(m: Mat) -> Mat:
+    n = m.rows
+    if n == 1:
+        return Mat(m.domain, [[m.domain.one]])
+    out = [[m.domain.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows = [x for x in range(n) if x != i]
+        for j in range(n):
+            c = det(m.submatrix(rows, [x for x in range(n) if x != j]))
+            out[j][i] = -c if (i + j) % 2 else c
+    return Mat(m.domain, out)
+
+
+def _inline_pencil(sys_: OscSystem) -> Mat:
+    n = sys_.size
+    return Mat(PolynomialRing(QQ), [
+        [Poly(QQ, (sys_.stiffness.entries[i][j], -sys_.mass.entries[i][j]))
+         for j in range(n)] for i in range(n)])
+
+
+def _oracle_eigenvector(sys_: OscSystem, s):
+    """First nonzero column of adj(K - s M), or None when it vanishes."""
+    adj = _full_adjugate(sys_.stiffness - sys_.mass * s)
+    for j in range(adj.cols):
+        col = adj.col(j)
+        if any(not scalar_is_zero(c) for c in col):
+            return col
+    return None
+
+
+# ---------------------------------------------------------------------------
+# random symmetric systems, n <= 5
+
+
+def _unimodular(n, ops):
+    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i % n != j % n:
+            m[i % n] = [a + c * b for a, b in zip(m[i % n], m[j % n])]
+    return Mat(QQ, m)
+
+
+@st.composite
+def systems(draw):
+    """Either M = P^T P, K = P^T D P (rational roots, repeats give the
+    degenerate path) or a random symmetric K against M = A A^T + I (mostly
+    irrational roots)."""
+    n = draw(st.integers(1, 5))
+    small = st.integers(-2, 2)
+    if draw(st.booleans()):
+        ops = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), small),
+                            max_size=3 * n))
+        p = _unimodular(n, ops)
+        d = Mat(QQ, [[draw(st.integers(-2, 3)) if i == j else 0 for j in range(n)]
+                     for i in range(n)])
+        return OscSystem(p.transpose() * p, p.transpose() * d * p)
+    a = Mat(QQ, [[draw(small) for _ in range(n)] for _ in range(n)])
+    upper = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    k = Mat(QQ, [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    return OscSystem(a * a.transpose() + Mat.identity(QQ, n), k)
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems())
+def test_modes_match_the_full_adjugate_route(sys_):
+    rep = mode_report(sys_)
+    assert rep.char == det(_inline_pencil(sys_))
+    poly_col = tuple(_full_adjugate(_inline_pencil(sys_)).col(0))
+    for mode in rep.modes:
+        if isinstance(mode.root, RootInterval):
+            assert mode.eigenvector is None
+            assert mode.column_polynomials == poly_col
+            continue
+        assert mode.column_polynomials is None
+        expected = _oracle_eigenvector(sys_, mode.root)
+        assert mode.eigenvector.degenerate == (expected is None)
+        if expected is not None:
+            assert mode.eigenvector.vector == expected
+        else:
+            assert mode.eigenvector.vector == mode.eigenvector.basis[0]
+    assert osc.adjugate_column_polynomials(sys_) == poly_col
+    last = sys_.size - 1
+    assert (osc.adjugate_column_polynomials(sys_, -1)
+            == tuple(_full_adjugate(_inline_pencil(sys_)).col(last)))
+
+
+def test_adjugate_is_the_columns_zipped():
+    m = Mat(QQ, [[1, 2, 0], [3, -1, 4], [0, 5, 2]])
+    assert matrix.adjugate(m) == _full_adjugate(m)
+    assert matrix.adjugate(Mat(QQ, [[7]])) == Mat(QQ, [[1]])
+
+
+# ---------------------------------------------------------------------------
+# call counts
+
+
+def _count(monkeypatch, module, name, calls, when=lambda *a: True):
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        if when(*args):
+            calls[name] = calls.get(name, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _counted_report(monkeypatch, sys_):
+    calls = {}
+    for name in ("char_poly", "analyze_roots", "adjugate_column_polynomials"):
+        _count(monkeypatch, osc, name, calls)
+    _count(monkeypatch, osc, "_adjugate_column", calls,
+           when=lambda m, j: isinstance(m.domain, PolynomialRing))
+
+    def no_full_adjugate(m):
+        raise AssertionError("mode_report must not build a full adjugate")
+
+    monkeypatch.setattr(matrix, "adjugate", no_full_adjugate)
+    report = mode_report(sys_)
+    return report, calls
+
+
+def test_one_report_computes_each_intermediate_once(monkeypatch):
+    report, calls = _counted_report(monkeypatch, MIXED)
+    assert sum(isinstance(m.root, RootInterval) for m in report.modes) == 2
+    assert calls == {"char_poly": 1, "analyze_roots": 1,
+                     "adjugate_column_polynomials": 1, "_adjugate_column": 1}
+
+
+def test_rational_roots_build_no_polynomial_column(monkeypatch):
+    _, calls = _counted_report(monkeypatch, OscSystem(I3, Mat(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])))
+    assert calls == {"char_poly": 1, "analyze_roots": 1}
+
+
+def test_degenerate_root_computes_no_cofactor_column(monkeypatch):
+    calls = {}
+    _count(monkeypatch, osc, "_adjugate_column", calls)
+    vec = osc.eigvec_adjugate(OscSystem(I3, I3), 1)
+    assert vec.degenerate and len(vec.basis) == 3
+    assert calls == {}
+
+
+def test_first_nonzero_column_stops_the_scan(monkeypatch):
+    calls = {}
+    _count(monkeypatch, osc, "_adjugate_column", calls)
+    vec = osc.eigvec_adjugate(OscSystem(I3, Mat(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])), 2)
+    assert vec.vector == (0, -1, 0) and not vec.degenerate
+    assert calls == {"_adjugate_column": 2}   # column 0 vanishes at s = 2
+
+
+# ---------------------------------------------------------------------------
+# explicit checks
+
+
+def test_wrong_cofactor_column_raises(monkeypatch):
+    monkeypatch.setattr(osc, "_adjugate_column",
+                        lambda m, j: (m.domain.one,) * m.rows)
+    with pytest.raises(VerificationError):
+        mode_report(OscSystem(I3, Mat(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])))
+
+
+def test_lost_degree_raises(monkeypatch):
+    monkeypatch.setattr(osc, "det", lambda m: Poly(QQ, (1, 1)))
+    with pytest.raises(VerificationError):
+        osc.char_poly(MIXED)
+
+
+def test_empty_eigenspace_raises(monkeypatch):
+    monkeypatch.setattr(osc, "nullspace", lambda m: [])
+    with pytest.raises(VerificationError):
+        osc.eigvec_adjugate(OscSystem(I3, I3), 1)
+
+
+def test_signature_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(osc, "_congruence_signature", lambda k: (0, 0, k.rows))
+    with pytest.raises(VerificationError):
+        osc.inertia(I3)
+
+
+def test_multiplicity_shortfall_raises(monkeypatch):
+    monkeypatch.setattr(osc, "_root_multiplicities", lambda parts: ())
+    with pytest.raises(VerificationError):
+        osc.analyze_roots(MIXED)
+
+
+def test_nonreal_roots_raise():
+    summary = osc.analyze_roots(MIXED)
+    with pytest.raises(VerificationError):
+        osc._verdicts(osc.RootSummary(**{**summary.__dict__, "all_real": False}))
+
+
+# mode_report with a cofactor helper that returns a wrong vector: the kernel
+# check must catch it even with assertions compiled out
+_WRONG_COLUMN_SCRIPT = """
+import canonforms.oscillations as osc
+from canonforms import QQ, Mat, VerificationError
+print("debug", __debug__)
+osc._adjugate_column = lambda m, j: (m.domain.one,) * m.rows
+system = osc.OscSystem(Mat.identity(QQ, 3), Mat(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]))
+try:
+    osc.mode_report(system)
+except VerificationError as exc:
+    print("raised", type(exc).__name__, exc)
+else:
+    print("accepted a wrong eigenvector")
+"""
+
+
+def test_kernel_check_survives_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_COLUMN_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised VerificationError"), proc.stdout
