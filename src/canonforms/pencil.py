@@ -72,7 +72,8 @@ class PencilInvariants:
     (HomogeneousPoint or irreducible Poly of degree >= 2, exponent) pair;
     the point (1 : 0) marks divisors at infinity.  For regular pencils the
     divisor degrees sum to the size.  For singular pencils only the rank and
-    the finite gcd data that stays well defined are recorded.
+    the finite gcd data that stays well defined are recorded.  Every
+    polynomial base is irreducible over the pencil's field.
     """
 
     regular: bool
@@ -80,7 +81,6 @@ class PencilInvariants:
     rank: int
     infinity_defect: int
     divisors: Tuple[Tuple[object, int], ...]
-    certified: bool = True
 
     def multiset(self):
         return tuple(sorted(self.divisors, key=_divisor_key))
@@ -139,11 +139,13 @@ def pencil_det(pc: Pencil) -> BinaryForm:
     gy = det(_linear_pencil(pc.q, pc.p))     # det(P + y Q)
     form = BinaryForm(dom, n, [fx.coeff(k) for k in range(n + 1)])
     mirror = BinaryForm(dom, n, [gy.coeff(n - k) for k in range(n + 1)])
-    assert form == mirror, "dehomogenizations disagree"
+    if form != mirror:
+        raise VerificationError("dehomogenizations disagree")
     for t in _parameter_points(dom, n + 1):
         lhs = det(Mat(dom, ((a + t * b for a, b in zip(r1, r2))
                             for r1, r2 in zip(pc.p.entries, pc.q.entries))))
-        assert form.evaluate(dom.one, t) == lhs, "determinant form evaluation mismatch"
+        if form.evaluate(dom.one, t) != lhs:
+            raise VerificationError("determinant form evaluation mismatch")
     return form
 
 
@@ -178,12 +180,10 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
     rank_y = sum(1 for d in y_side if not d.is_zero())
     rank = max(rank, rank_y)
     divisors: List[Tuple[object, int]] = []
-    certified = True
     for d in x_side:
         if d.is_zero() or d.degree < 1:
             continue
         for term in factor(d):
-            certified = certified and term.certified
             if term.base.degree == 1:
                 c = -term.base.coeff(0)
                 divisors.append((HomogeneousPoint.of(dom, c, dom.one), term.exponent))
@@ -206,12 +206,12 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
         rank=rank,
         infinity_defect=inf_total,
         divisors=tuple(divisors),
-        certified=certified,
     )
     if regular:
-        assert inv.total_degree() == n, "divisor degrees must sum to n"
-        fx = det(_linear_pencil(pc.p, pc.q))
-        assert fx.degree == degree_det, "infinity bookkeeping mismatch"
+        if inv.total_degree() != n:
+            raise VerificationError("divisor degrees must sum to n")
+        if det(_linear_pencil(pc.p, pc.q)).degree != degree_det:
+            raise VerificationError("infinity bookkeeping mismatch")
     return inv
 
 
@@ -255,7 +255,8 @@ def canonical_pencil(inv: PencilInvariants) -> Pencil:
     out = Pencil(Mat.block_diagonal(dom, p_blocks),
                  Mat.block_diagonal(dom, q_blocks))
     back = pencil_divisors(out)
-    assert back.multiset() == inv.multiset(), "canonical pencil self-test failed"
+    if back.multiset() != inv.multiset():
+        raise VerificationError("canonical pencil self-test failed")
     return out
 
 
@@ -330,7 +331,11 @@ def _strict_equivalence_witness(pc1: Pencil, pc2: Pencil) -> Tuple[Mat, Mat]:
 
 def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
     """An invertible parameter substitution (alpha, gamma; beta, delta) whose
-    leading member alpha P + gamma Q is invertible for both pencils."""
+    leading member alpha P + gamma Q is invertible for both pencils.
+
+    det(P + c Q) is a nonzero polynomial in c of degree <= n for a regular
+    pencil, so at most 2n values of c fail for the pair: over GF(p) the
+    first 2n + 1 residues hold a working shift whenever p > 2n."""
     dom = pc1.domain
     leading = []
     if isinstance(dom, RationalField):
@@ -341,8 +346,8 @@ def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
         leading.append((Fraction(0), Fraction(1)))
     else:
         leading.append((dom.one, dom.zero))
-        for c in dom.elements():
-            leading.append((dom.one, c))
+        for c in range(min(dom.characteristic, 2 * pc1.size + 1)):
+            leading.append((dom.one, dom.coerce(c)))
         leading.append((dom.zero, dom.one))
     for alpha, gamma in leading:
         m1 = pc1.p * alpha + pc1.q * gamma

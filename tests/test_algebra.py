@@ -23,6 +23,8 @@ from canonforms.algebra import (
     sturm_count,
 )
 
+from conftest import is_irreducible
+
 X = Poly.x(QQ)
 
 
@@ -168,7 +170,7 @@ def test_factor_gf2_irreducible_quadratic():
     assert f(0) != 0 and f(1) != 0
     terms = factor(f)
     assert len(terms) == 1 and terms[0].base == f and terms[0].exponent == 1
-    assert terms[0].certified
+    assert is_irreducible(terms[0].base)
 
 
 def test_factor_difference_of_squares():
@@ -189,7 +191,7 @@ def test_factor_irreducible_quartic_over_q():
     f = X ** 4 + 1       # irreducible over Q
     terms = factor(f)
     assert [(t.base, t.exponent) for t in terms] == [(f, 1)]
-    assert terms[0].certified
+    assert is_irreducible(terms[0].base)
 
 
 def test_factor_quartic_into_quadratics():
@@ -199,14 +201,11 @@ def test_factor_quartic_into_quadratics():
 
 
 def test_factor_degree_cap_reports_unsplit():
-    # product of two irreducible quintics: residual degree 10 > cap
+    # product of two irreducible quintics, once refused above degree 8
     f = (X ** 5 - X - 1) * (X ** 5 - X - 2)
-    terms = factor(f)
-    assert any(not t.certified for t in terms)
-    prod = Poly.one(QQ)
-    for t in terms:
-        prod = prod * t.base ** t.exponent
-    assert prod == f.monic()
+    terms = [(t.base, t.exponent) for t in factor(f)]
+    assert terms == [(X ** 5 - X - 1, 1), (X ** 5 - X - 2, 1)]
+    assert all(is_irreducible(base) for base, _ in terms)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -224,7 +223,7 @@ def test_factor_roundtrip_randomized_gf(p):
         lead = f.leading()
         prod = Poly.constant(F, lead)
         for t in factor(f):
-            assert t.certified
+            assert is_irreducible(t.base)
             prod = prod * t.base ** t.exponent
         assert prod == f
 
@@ -240,7 +239,7 @@ def test_factor_roundtrip_randomized_q():
             f = f * quads[rng.randrange(3)]
         prod = Poly.constant(QQ, f.leading())
         for t in factor(f):
-            assert t.certified
+            assert is_irreducible(t.base)
             prod = prod * t.base ** t.exponent
         assert prod == f
 

@@ -159,6 +159,16 @@ def test_pencil_eldiv_computes_the_determinant_form_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_builds_its_ledger_from_the_smith_form(tmp_path, monkeypatch):
+    a = write(tmp_path, "a.mat", CHAIN3_TEXT)
+    calls = []
+    orig = cli.divisor_data
+    monkeypatch.setattr(cli, "divisor_data", lambda m: calls.append(m) or orig(m))
+    code, out = invoke(["verify", "--trials", "2", a])
+    assert code == EXIT_OK and "FAIL" not in out
+    assert len(calls) == 2   # the conjugation trials only
+
+
 def test_similar_with_witness(tmp_path):
     a = write(tmp_path, "a.mat", "FIELD Q\nROWS 2 COLS 2\n1 1\n0 2\n")
     b = write(tmp_path, "b.mat", "FIELD Q\nROWS 2 COLS 2\n2 0\n1 1\n")

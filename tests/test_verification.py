@@ -1,13 +1,16 @@
 """The exact re-checks raise VerificationError, also under ``python -O``."""
 
+import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import canonforms.canonical as canonical
+import canonforms.matrix as matrix
 import canonforms.pencil as pencil
 import canonforms.smith as smith
 from canonforms import (
@@ -119,3 +122,113 @@ def test_pencil_witness_check(monkeypatch):
 
 def test_verification_error_is_an_assertion_error():
     assert issubclass(VerificationError, AssertionError)
+
+
+# pencil_divisors with a Smith diagonal whose divisor degrees sum to n + 1:
+# the explicit check must catch it even with assertions compiled out
+_BAD_DIAGONAL_SCRIPT = """
+import canonforms.pencil as pencil
+from canonforms import QQ, Mat, Pencil, Poly, VerificationError, pencil_divisors
+print("debug", __debug__)
+real = pencil.smith_diagonal
+def padded(m):
+    diag = real(m)
+    return diag[:-1] + [diag[-1] * Poly.linear(diag[-1].domain, 7)]
+pencil.smith_diagonal = padded
+try:
+    pencil_divisors(Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]])))
+except VerificationError as exc:
+    print("raised", type(exc).__name__, exc)
+else:
+    print("accepted a wrong divisor count")
+"""
+
+
+def test_pencil_degree_check_survives_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", _BAD_DIAGONAL_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1] == ("raised VerificationError divisor degrees must sum "
+                        "to n"), proc.stdout
+
+
+_PENCIL = Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]]))
+
+
+def test_pencil_det_checks(monkeypatch):
+    real = pencil.det
+    calls = []
+
+    def second_poly_off(m):
+        d = real(m)
+        calls.append(m)
+        return d + 1 if len(calls) == 2 else d
+
+    monkeypatch.setattr(pencil, "det", second_poly_off)
+    with pytest.raises(VerificationError, match="dehomogenizations"):
+        pencil.pencil_det(_PENCIL)
+    monkeypatch.setattr(pencil, "det",
+                        lambda m: real(m) + (1 if m.domain is QQ else 0))
+    with pytest.raises(VerificationError, match="evaluation mismatch"):
+        pencil.pencil_det(_PENCIL)
+
+
+def test_pencil_infinity_bookkeeping_check(monkeypatch):
+    real = pencil.det
+    monkeypatch.setattr(pencil, "det", lambda m: real(m).shift(1))
+    with pytest.raises(VerificationError, match="infinity bookkeeping"):
+        pencil.pencil_divisors(_PENCIL)
+
+
+def test_canonical_pencil_self_test(monkeypatch):
+    inv = pencil.pencil_divisors(_PENCIL)
+    monkeypatch.setattr(pencil, "pencil_divisors",
+                        lambda pc: replace(inv, divisors=inv.divisors[:1]))
+    with pytest.raises(VerificationError, match="self-test"):
+        pencil.canonical_pencil(inv)
+
+
+def test_mat_inverse_identity_check(monkeypatch):
+    real = matrix.rref
+
+    def doubled(m):
+        red, piv = real(m)
+        return Mat(m.domain, [[x + x for x in row] for row in red.entries]), piv
+
+    monkeypatch.setattr(matrix, "rref", doubled)
+    with pytest.raises(VerificationError, match="identity"):
+        matrix.mat_inverse(Mat(QQ, [[1, 2], [3, 4]]))
+
+
+# The two asserts of the `smith` subcommand are the documented exception;
+# every other check in the library must raise explicitly.
+_ASSERT_ALLOWLIST = {("cli.py", "_cmd_smith"): 2}
+
+
+def _asserts_by_function(path):
+    found = {}
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Assert):
+                key = (path.name, owner)
+                found[key] = found.get(key, 0) + 1
+            walk(child, owner)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_no_assert_statements_outside_the_allowlist():
+    found = {}
+    for path in sorted((SRC / "canonforms").glob("*.py")):
+        found.update(_asserts_by_function(path))
+    assert found == _ASSERT_ALLOWLIST
