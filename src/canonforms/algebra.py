@@ -30,19 +30,32 @@ class VerificationError(AssertionError):
     under ``python -O``.  Any occurrence is a bug in the library."""
 
 
+# Miller-Rabin with the first twelve prime bases decides primality exactly
+# below this bound (Sorenson & Webster 2015); larger moduli are refused.
+_MAX_MODULUS = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    # Trial division; moduli are expected to be small.
+    """Deterministic Miller-Rabin primality test for 0 <= p < _MAX_MODULUS."""
     if p < 2:
         return False
-    if p in (2, 3):
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -208,6 +221,9 @@ class PrimeField:
     def __new__(cls, p: int):
         inst = cls._instances.get(p)
         if inst is None:
+            if p >= _MAX_MODULUS:
+                raise DomainError(
+                    f"modulus {p} exceeds the supported limit {_MAX_MODULUS}")
             if not _is_prime(p):
                 raise DomainError(f"modulus {p} is not prime")
             inst = super().__new__(cls)
@@ -323,13 +339,6 @@ class Poly:
         """The monic linear polynomial x - root."""
         return cls(domain, (-domain.coerce(root), domain.one))
 
-    @classmethod
-    def from_roots(cls, domain, roots) -> "Poly":
-        f = cls.one(domain)
-        for r in roots:
-            f = f * cls.linear(domain, r)
-        return f
-
     # -- basic queries
 
     @property
@@ -338,9 +347,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def leading(self):
         if not self.coeffs:
@@ -672,9 +678,6 @@ class FactorTerm:
     base: Poly
     exponent: int
 
-    def as_pair(self):
-        return (self.base, self.exponent)
-
 
 def factor(f: Poly):
     """Factor f into monic irreducibles over GF(p) or Q.
@@ -848,24 +851,6 @@ def _recombine(g: Poly, lifted, m: int):
     return out + [g]
 
 
-def _signed_divisors(v: int):
-    av = abs(v)
-    ds = []
-    i = 1
-    while i * i <= av:
-        if av % i == 0:
-            ds.append(i)
-            if i != av // i:
-                ds.append(av // i)
-        i += 1
-    ds.sort()
-    out = []
-    for d in ds:
-        out.append(d)
-        out.append(-d)
-    return out
-
-
 def _primitive_int_poly(f: Poly):
     """Scale a rational polynomial to a primitive integer polynomial.
 
@@ -892,47 +877,23 @@ def _primitive_int_poly(f: Poly):
 
 
 def rational_roots(f: Poly):
-    """All rational roots of f with multiplicities, via divisor enumeration
-    on the leading and trailing coefficients of the primitive integer form."""
+    """All rational roots of f with multiplicities, ascending: the linear
+    terms of ``factor(f)``."""
     if f.is_zero():
         raise ValueError("rational roots of the zero polynomial")
     if not isinstance(f.domain, RationalField):
         raise DomainError("rational_roots requires a polynomial over Q")
-    if f.degree == 0:
-        return []
-    g, _ = _primitive_int_poly(f)
-    roots = []
-    # root at zero
-    k = 0
-    while scalar_is_zero(g.coeff(k)):
-        k += 1
-    if k:
-        roots.append((Fraction(0), k))
-        g = Poly(ZZ, g.coeffs[k:])
-    if g.degree >= 1:
-        a0 = abs(g.coeff(0))
-        an = abs(g.leading())
-        num_divs = [d for d in _signed_divisors(a0) if d > 0]
-        den_divs = [d for d in _signed_divisors(an) if d > 0]
-        candidates = set()
-        for p in num_divs:
-            for q in den_divs:
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-        fq = Poly(QQ, g.coeffs)
-        for r in sorted(candidates):
-            if fq(r) == 0:
-                mult = 0
-                lin = Poly.linear(QQ, r)
-                while True:
-                    q, rem = divmod(fq, lin)
-                    if not rem.is_zero():
-                        break
-                    fq = q
-                    mult += 1
-                roots.append((r, mult))
-    roots.sort(key=lambda t: t[0])
-    return roots
+    return _split_linear(factor(f))[0]
+
+
+def _split_linear(terms):
+    """Split factor terms over Q into their rational roots, as ascending
+    (root, exponent) pairs, and the monic product of their nonlinear bases
+    (each taken once)."""
+    roots = [(-t.base.coeff(0), t.exponent) for t in terms if t.base.degree == 1]
+    rest = math.prod((t.base for t in terms if t.base.degree > 1),
+                     start=Poly.one(QQ))
+    return roots, rest
 
 
 # ---------------------------------------------------------------------------
@@ -1039,20 +1000,17 @@ def isolate_real_roots(f: Poly):
     """
     if f.is_zero():
         raise ValueError("root isolation of the zero polynomial")
-    g = squarefree_part(f)
-    if g.degree == 0:
-        return []
-    rats = [r for r, _ in rational_roots(g)]
-    rest = g
-    for r in rats:
-        rest = rest.exact_div(Poly.linear(QQ, r))
+    if not isinstance(f.domain, RationalField):
+        raise DomainError("isolate_real_roots requires a polynomial over Q")
+    roots, rest = _split_linear(factor(f))
+    rats = [r for r, _ in roots]
     out = [RootInterval(r, r) for r in rats]
     if rest.degree >= 1:
         out.extend(_isolate(rest, _sturm_chain(rest), rats))
     out.sort(key=lambda iv: (iv.lo, iv.hi))
     for a, b in zip(out, out[1:]):
         if a.hi >= b.lo:
-            raise AssertionError("root intervals overlap")
+            raise VerificationError("root intervals overlap")
     return out
 
 
@@ -1152,14 +1110,6 @@ class BinaryForm:
         return cls(domain, d, (domain.zero,) * (d + 1))
 
     @classmethod
-    def from_univariate(cls, f: Poly, d: int) -> "BinaryForm":
-        """Homogenize f(u) to degree d using powers of v."""
-        if f.degree > d:
-            raise ValueError("degree exceeds the homogenization target")
-        cs = [f.coeff(k) for k in range(d + 1)]
-        return cls(f.domain, d, cs)
-
-    @classmethod
     def linear_power(cls, domain, a, b, e: int, d: Optional[int] = None) -> "BinaryForm":
         """(a*u + b*v)^e, optionally padded as a degree-d form (d == e here)."""
         a = domain.coerce(a)
@@ -1206,14 +1156,6 @@ class BinaryForm:
             acc = acc + c * u**k * v ** (self.d - k)
         return acc
 
-    def dehomogenize_u(self) -> Poly:
-        """f(u) = B(u, 1)."""
-        return Poly(self.domain, self.coeffs)
-
-    def dehomogenize_v(self) -> Poly:
-        """g(v) = B(1, v)."""
-        return Poly(self.domain, reversed(self.coeffs))
-
     def factor_linear(self):
         """Split off the content at infinity and factor the finite part.
 
@@ -1230,16 +1172,9 @@ class BinaryForm:
         out = []
         if inf_mult:
             out.append((HomogeneousPoint.infinity(self.domain), inf_mult))
-        const = f.leading()
-        for term in factor(f):
-            if term.base.degree == 1:
-                c = -term.base.coeff(0)
-                out.append((HomogeneousPoint.of(self.domain, c, self.domain.one),
-                            term.exponent))
-            else:
-                out.append((term.base, term.exponent))
-        out.sort(key=_divisor_sort_key)
-        return const, out
+        out.extend(_homogeneous_divisors(factor(f)))
+        out.sort(key=_divisor_key)
+        return f.leading(), out
 
     def render(self, u: str = "u", v: str = "v") -> str:
         if self.is_zero():
@@ -1270,8 +1205,17 @@ class BinaryForm:
         return f"BinaryForm({self.domain}, {self.render()})"
 
 
-def _divisor_sort_key(item):
-    base, exp = item
-    if isinstance(base, HomogeneousPoint):
-        return (0, base.sort_key(), -exp)
-    return (1, base.sort_key(), -exp)
+def _homogeneous_divisors(terms):
+    """Factor terms as homogeneous divisors: a linear base x - c becomes the
+    point (c : 1), a base of degree >= 2 is kept as it is."""
+    return [(HomogeneousPoint.of(t.base.domain, -t.base.coeff(0), t.base.domain.one)
+             if t.base.degree == 1 else t.base, t.exponent) for t in terms]
+
+
+def _divisor_key(item):
+    """Order of homogeneous divisors: finite points, then polynomial bases,
+    then the point (1 : 0); larger exponents first within one base."""
+    base, e = item
+    if not isinstance(base, HomogeneousPoint):
+        return (1, base.sort_key(), -e)
+    return (2 if base.is_infinity else 0, base.sort_key(), -e)

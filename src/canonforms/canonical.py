@@ -53,12 +53,6 @@ class JordanStructure:
     def size(self) -> int:
         return sum(sum(sizes) for _, sizes in self.blocks)
 
-    def sizes_for(self, eigenvalue) -> Tuple[int, ...]:
-        for ev, sizes in self.blocks:
-            if ev == eigenvalue:
-                return sizes
-        return ()
-
 
 @dataclass(frozen=True)
 class CanonicalResult:

@@ -10,7 +10,8 @@ Matrix file format (bit-exact, UTF-8, ASCII hyphen-minus for negatives):
 
 Rational entries are ``a`` or ``a/b``; GF(p) entries are integers reduced
 modulo p; ``#`` starts a comment.  Exit codes: 0 success, 1 input error,
-2 mathematical refusal (the refusal message names the reason).
+2 mathematical refusal (the refusal message names the reason), 3 failed
+internal verification (the message names the check; always a library bug).
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from typing import List, Optional, Tuple
 
 from .algebra import (
     GF,
+    DomainError,
     GFElement,
-    HomogeneousPoint,
     Poly,
     PrimeField,
     QQ,
     RootInterval,
+    VerificationError,
 )
 from .canonical import (
     SplitFieldRequired,
@@ -44,6 +46,7 @@ from .oscillations import OscSystem, mode_report
 from .pencil import (
     Pencil,
     SingularPencilError,
+    _pencil_divisor_str,
     canonical_pencil,
     kronecker_elementary_form,
     pencil_det,
@@ -51,6 +54,7 @@ from .pencil import (
     pencil_equivalent,
 )
 from .smith import (
+    _divisor_str,
     _ledger,
     char_matrix,
     divisor_data,
@@ -62,6 +66,7 @@ HUMAN_VAR = "λ"   # lambda; machine output spells it x
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_REFUSED = 2
+EXIT_VERIFY = 3
 
 
 class MatrixParseError(ValueError):
@@ -119,8 +124,8 @@ def parse_matrix(text: str) -> Mat:
                                    ln2, col2) from None
         try:
             dom = GF(p)
-        except Exception:
-            raise MatrixParseError(f"modulus {p} is not prime", ln2, col2) from None
+        except DomainError as exc:
+            raise MatrixParseError(str(exc), ln2, col2) from None
     else:
         raise MatrixParseError(f"unknown field {tok!r} (use Q or GF <p>)", ln, col)
     tok, ln, col = need("ROWS")
@@ -203,29 +208,6 @@ def _entry_str(e) -> str:
 
 def _poly_str(p: Poly, var: str) -> str:
     return p.render(var, compact=True)
-
-
-def _divisor_strs(dd_pairs, var: str) -> List[str]:
-    out = []
-    for base, e in dd_pairs:
-        s = f"({_poly_str(base, var)})"
-        out.append(s if e == 1 else f"{s}^{e}")
-    return out
-
-
-def _pencil_divisor_strs(divisors, var: str) -> List[str]:
-    out = []
-    for base, e in divisors:
-        if isinstance(base, HomogeneousPoint):
-            if base.is_infinity:
-                s = "(infinity)"
-            else:
-                dom = QQ if isinstance(base.a, Fraction) else GF(base.a.p)
-                s = f"({_poly_str(Poly.linear(dom, base.a), var)})"
-        else:
-            s = f"({_poly_str(base, var)})"
-        out.append(s if e == 1 else f"{s}^{e}")
-    return out
 
 
 def _mat_json(m: Mat, var: str = "x") -> dict:
@@ -314,9 +296,11 @@ def _cmd_smith(args) -> Tuple[int, _Report]:
     rep = _Report("smith", _digest(canon))
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
-    assert u * x_mat * v == s
+    if u * x_mat * v != s:
+        raise VerificationError("smith identity U (xI - A) V = S fails")
     du, dv = det(u), det(v)
-    assert du.degree == 0 and dv.degree == 0
+    if du.degree != 0 or dv.degree != 0:
+        raise VerificationError("smith transforms U and V are not unimodular")
     diag = [s.entries[i][i] for i in range(s.rows)]
     rep.invariants["smith_diagonal"] = [_poly_str(d, "x") for d in diag]
     rep.transforms["U"] = _mat_json(u)
@@ -353,9 +337,10 @@ def _cmd_eldiv(args) -> Tuple[int, _Report]:
     _require_square(a, args.matrix)
     rep = _Report("eldiv", _digest(canon))
     dd = divisor_data(a)
-    rep.invariants["elementary_divisors"] = _divisor_strs(dd.elementary_divisors, "x")
+    rep.invariants["elementary_divisors"] = [
+        _divisor_str(b, e, "x") for b, e in dd.elementary_divisors]
     rep.invariants["certified"] = True   # kept so reports stay byte-stable
-    rep.say(", ".join(_divisor_strs(dd.elementary_divisors, HUMAN_VAR)))
+    rep.say(dd.render(HUMAN_VAR))
     return EXIT_OK, rep
 
 
@@ -447,8 +432,8 @@ def _cmd_similar(args) -> Tuple[int, _Report]:
     else:
         rep.say("NOT SIMILAR")
         for name, m in (("A", a), ("B", b)) if not args.json else ():
-            eldiv = divisor_data(m).elementary_divisors   # human report only
-            rep.say(f"{name} divisors: " + ", ".join(_divisor_strs(eldiv, HUMAN_VAR)))
+            dd = divisor_data(m)   # human report only
+            rep.say(f"{name} divisors: {dd.render(HUMAN_VAR)}")
     return EXIT_OK, rep
 
 
@@ -468,17 +453,17 @@ def _cmd_pencil_eldiv(args) -> Tuple[int, _Report]:
     inv = pencil_divisors(pc)
     rep.invariants["regular"] = inv.regular
     rep.invariants["rank"] = inv.rank
-    rep.invariants["divisors"] = _pencil_divisor_strs(inv.multiset(), "x")
+    rep.invariants["divisors"] = [
+        _pencil_divisor_str(b, e, "x") for b, e in inv.multiset()]
     form = pencil_det(pc).render()
     rep.invariants["determinant_form"] = form
     if inv.regular:
         rep.say("regular pencil")
-        rep.say("divisors: " + ", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)))
+        rep.say(f"divisors: {inv.render(HUMAN_VAR)}")
     else:
         rep.say(f"SINGULAR pencil (rank {inv.rank} of {inv.size}); "
                 "canonical minimal-index theory out of scope")
-        rep.say("well-defined finite gcd data: " +
-                (", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)) or "none"))
+        rep.say(f"well-defined finite gcd data: {inv.render(HUMAN_VAR) or 'none'}")
     rep.say(f"det(uP + vQ) = {form}")
     return EXIT_OK, rep
 
@@ -513,8 +498,7 @@ def _cmd_pencil_equiv(args) -> Tuple[int, _Report]:
         rep.say("NOT EQUIVALENT")
         for name, pc in (("first", pc1), ("second", pc2)) if not args.json else ():
             inv = pencil_divisors(pc)   # human report only
-            rep.say(f"{name} divisors: " +
-                    ", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)))
+            rep.say(f"{name} divisors: {inv.render(HUMAN_VAR)}")
     return EXIT_OK, rep
 
 
@@ -528,7 +512,8 @@ def _cmd_pencil_canon(args) -> Tuple[int, _Report]:
         rep.verified = False
         return EXIT_REFUSED, rep
     out = canonical_pencil(inv)
-    rep.invariants["divisors"] = _pencil_divisor_strs(inv.multiset(), "x")
+    rep.invariants["divisors"] = [
+        _pencil_divisor_str(b, e, "x") for b, e in inv.multiset()]
     rep.transforms["P"] = _mat_json(out.p)
     rep.transforms["Q"] = _mat_json(out.q)
     rep.say("canonical pair (P, Q):")
@@ -536,7 +521,7 @@ def _cmd_pencil_canon(args) -> Tuple[int, _Report]:
     rep.say(_mat_human(out.p))
     rep.say("Q =")
     rep.say(_mat_human(out.q))
-    rep.say("divisors: " + ", ".join(_pencil_divisor_strs(inv.multiset(), HUMAN_VAR)))
+    rep.say(f"divisors: {inv.render(HUMAN_VAR)}")
     return EXIT_OK, rep
 
 
@@ -789,6 +774,9 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
     except (SplitFieldRequired, SingularPencilError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except VerificationError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     out.write(rep.emit(args.json, args.no_transform))
     return code
 

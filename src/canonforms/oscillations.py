@@ -36,10 +36,10 @@ from .algebra import (
     VerificationError,
     _chain_count,
     _isolate,
+    _split_linear,
     _sturm_chain,
-    rational_roots,
+    factor,
     scalar_is_zero,
-    squarefree_decompose,
 )
 from .matrix import Mat, ShapeError, _adjugate_column, _linear_pencil, det, nullspace
 
@@ -266,16 +266,16 @@ class RootSummary:
 def analyze_roots(sys: OscSystem) -> RootSummary:
     f = char_poly(sys)
     n = sys.size
-    parts = squarefree_decompose(f)
-    sf_degree = sum(g.degree for g, _ in parts)
-    chain = _sturm_chain(math.prod((g for g, _ in parts), start=Poly.one(QQ)))
+    terms = factor(f)
+    sf_degree = sum(t.base.degree for t in terms)
+    chain = _sturm_chain(math.prod((t.base for t in terms), start=Poly.one(QQ)))
     distinct = _chain_count(chain)
     all_real = distinct == sf_degree
     positive = _chain_count(chain, Fraction(0))
     zero = f(0) == 0
     negative = distinct - positive - (1 if zero else 0)
     repeated = sf_degree < n
-    mult = _root_multiplicities(parts)
+    mult = _root_multiplicities(terms)
     if all_real and sum(m for _, m in mult) != n:
         raise VerificationError("multiplicities must sum to n")
     return RootSummary(
@@ -290,17 +290,15 @@ def analyze_roots(sys: OscSystem) -> RootSummary:
     )
 
 
-def _root_multiplicities(parts) -> Tuple[Tuple[object, int], ...]:
-    """Distinct roots with multiplicities from the square-free parts of f:
-    exact rationals come back as Fractions, irrational roots as
-    sign-definite isolating RootIntervals."""
+def _root_multiplicities(terms) -> Tuple[Tuple[object, int], ...]:
+    """Distinct roots with multiplicities from the factor terms of f: exact
+    rationals (the linear terms) come back as Fractions, irrational roots as
+    sign-definite isolating RootIntervals of the product of the nonlinear
+    terms of each multiplicity."""
     out: List[Tuple[object, int]] = []
-    for g, m in parts:
-        rats = [r for r, _ in rational_roots(g)]
-        rest = g
-        for r in rats:
-            rest = rest.exact_div(Poly.linear(QQ, r))
-            out.append((r, m))
+    for m in sorted({t.exponent for t in terms}):
+        roots, rest = _split_linear([t for t in terms if t.exponent == m])
+        out.extend(roots)
         if rest.degree >= 1:
             chain = _sturm_chain(rest)
             for iv in _isolate(rest, chain, ()):

@@ -21,13 +21,14 @@ from .algebra import (
     Poly,
     RationalField,
     VerificationError,
+    _divisor_key,
+    _homogeneous_divisors,
     factor,
     scalar_is_zero,
-    scalar_key,
 )
 from .canonical import hypercompanion, jordan_block, similar
 from .matrix import Mat, ShapeError, _linear_pencil, det, mat_inverse
-from .smith import smith_diagonal
+from .smith import _divisor_str, smith_diagonal
 
 
 class SingularPencilError(ArithmeticError):
@@ -89,18 +90,18 @@ class PencilInvariants:
         return sum(_divisor_degree(b, e) for b, e in self.divisors)
 
     def render(self, var: str = "x") -> str:
-        parts = []
-        for base, e in self.multiset():
-            if isinstance(base, HomogeneousPoint):
-                if base.is_infinity:
-                    body = "(infinity)"
-                else:
-                    lin = Poly.linear(_point_domain(base), base.a)
-                    body = f"({lin.render(var, compact=True)})"
-            else:
-                body = f"({base.render(var, compact=True)})"
-            parts.append(body if e == 1 else f"{body}^{e}")
-        return ", ".join(parts)
+        return ", ".join(_pencil_divisor_str(b, e, var)
+                         for b, e in self.multiset())
+
+
+def _pencil_divisor_str(base, e: int, var: str) -> str:
+    """One homogeneous divisor as text: a finite point (c : 1) as (x - c),
+    the point (1 : 0) as (infinity)."""
+    if isinstance(base, HomogeneousPoint) and base.is_infinity:
+        return "(infinity)" if e == 1 else f"(infinity)^{e}"
+    if isinstance(base, HomogeneousPoint):
+        base = Poly.linear(_point_domain(base), base.a)
+    return _divisor_str(base, e, var)
 
 
 def _point_domain(pt: HomogeneousPoint):
@@ -116,14 +117,6 @@ def _divisor_degree(base, e: int) -> int:
     if isinstance(base, HomogeneousPoint):
         return e
     return base.degree * e
-
-
-def _divisor_key(item):
-    base, e = item
-    if isinstance(base, HomogeneousPoint):
-        return (0 if not base.is_infinity else 2, (1,)
-                if base.is_infinity else (0, scalar_key(base.a)), -e)
-    return (1, (base.sort_key(),), -e)
 
 
 def pencil_det(pc: Pencil) -> BinaryForm:
@@ -183,12 +176,7 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
     for d in x_side:
         if d.is_zero() or d.degree < 1:
             continue
-        for term in factor(d):
-            if term.base.degree == 1:
-                c = -term.base.coeff(0)
-                divisors.append((HomogeneousPoint.of(dom, c, dom.one), term.exponent))
-            else:
-                divisors.append((term.base, term.exponent))
+        divisors.extend(_homogeneous_divisors(factor(d)))
     inf_total = 0
     for d in y_side:
         if d.is_zero():

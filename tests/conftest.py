@@ -39,6 +39,35 @@ def is_irreducible(f: Poly) -> bool:
     return not any((f % h).is_zero() for h in cands)
 
 
+def rational_roots_by_divisors(f: Poly):
+    """Divisor-enumeration oracle for the rational roots of f over Q: every
+    root p/q of the primitive integer form has p | a_0 and q | a_n (after the
+    root at zero is split off); each candidate is tested and divided out.
+    Ascending (root, multiplicity) pairs."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    g = [int(c * den) for c in f.coeffs]
+    zeros = next(k for k, c in enumerate(g) if c)
+    roots = [(Fraction(0), zeros)] if zeros else []
+    g = g[zeros:]
+    if len(g) < 2:
+        return roots
+
+    def divisors(v):
+        return [d for d in range(1, abs(v) + 1) if v % d == 0]
+
+    fq = Poly(QQ, g)
+    cands = {Fraction(s * a, b) for a in divisors(g[0]) for b in divisors(g[-1])
+             for s in (1, -1)}
+    for r in sorted(cands):
+        mult = 0
+        while fq(r) == 0:
+            fq = fq.exact_div(Poly.linear(QQ, r))
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+    return sorted(roots)
+
+
 def chain3():
     """Symmetric 3x3 with eigenvalues 0, 1, 3 (the worked tridiagonal demo)."""
     return Mat(QQ, [[1, -1, 0], [-1, 2, 1], [0, 1, 1]])

@@ -1,5 +1,6 @@
 """Scalar, polynomial, gcd, factorization, and root-isolation tests."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import canonforms.algebra as algebra
 from canonforms.algebra import (
     GF,
     BinaryForm,
@@ -14,6 +16,10 @@ from canonforms.algebra import (
     HomogeneousPoint,
     Poly,
     QQ,
+    RootInterval,
+    VerificationError,
+    _MAX_MODULUS,
+    _is_prime,
     factor,
     isolate_real_roots,
     poly_gcd,
@@ -23,7 +29,7 @@ from canonforms.algebra import (
     sturm_count,
 )
 
-from conftest import is_irreducible
+from conftest import is_irreducible, rational_roots_by_divisors
 
 X = Poly.x(QQ)
 
@@ -40,6 +46,32 @@ def test_gf_requires_prime_modulus():
     with pytest.raises(DomainError):
         GF(6)
     assert GF(7).characteristic == 7
+
+
+def _prime_by_trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_10000():
+    assert [p for p in range(10 ** 4) if _is_prime(p)] == \
+        [p for p in range(10 ** 4) if _prime_by_trial_division(p)]
+
+
+@pytest.mark.parametrize("n", [561, 41041, 2047, 3215031751,
+                               3825123056546413051])
+def test_pseudoprimes_are_refused(n):
+    # Carmichael numbers and strong pseudoprimes to the smaller bases
+    assert not _is_prime(n)
+    with pytest.raises(DomainError, match="not prime"):
+        GF(n)
+
+
+def test_large_prime_moduli():
+    assert GF(2 ** 61 - 1).characteristic == 2 ** 61 - 1
+    assert _is_prime(2 ** 31 - 1) and not _is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+    for n in (_MAX_MODULUS, 2 ** 89 - 1):
+        with pytest.raises(DomainError, match=f"supported limit {_MAX_MODULUS}"):
+            GF(n)
 
 
 def test_mixed_gf_moduli_rejected():
@@ -278,6 +310,37 @@ def test_rational_roots_at_zero():
     assert rational_roots(f) == [(Fraction(-1, 3), 1), (Fraction(0), 2)]
 
 
+@given(st.lists(st.integers(-30, 30), min_size=1, max_size=7))
+def test_rational_roots_match_divisor_enumeration(coeffs):
+    f = Poly(QQ, coeffs)
+    if f.is_zero():
+        return
+    assert rational_roots(f) == rational_roots_by_divisors(f)
+
+
+@given(roots=st.dictionaries(st.fractions(min_value=-20, max_value=20,
+                                          max_denominator=9),
+                             st.integers(1, 3), max_size=4),
+       squares=st.lists(st.integers(-12, 12).filter(
+           lambda d: d < 0 or math.isqrt(d) ** 2 != d), max_size=2),
+       lead=st.integers(1, 7))
+def test_rational_roots_of_constructed_products(roots, squares, lead):
+    # rational linear factors with multiplicities times irreducible x^2 - d
+    f = Poly.constant(QQ, lead)
+    for r, m in roots.items():
+        f = f * lin(r) ** m
+    for d in squares:
+        f = f * (X ** 2 - d)
+    assert rational_roots(f) == sorted(roots.items())
+
+
+def test_rational_roots_need_a_rational_polynomial():
+    with pytest.raises(DomainError):
+        rational_roots(Poly.x(GF(5)))
+    with pytest.raises(DomainError):
+        isolate_real_roots(Poly.x(GF(5)))
+
+
 # ---------------------------------------------------------------------------
 # Sturm counting and isolation
 
@@ -348,6 +411,14 @@ def test_isolate_mixed_rational_irrational():
                            iv.hi) >= 1
     for a, b in zip(ivs, ivs[1:]):
         assert a.hi < b.lo
+
+
+def test_overlapping_root_intervals_raise(monkeypatch):
+    # an isolating interval that covers the rational root 1
+    monkeypatch.setattr(algebra, "_isolate",
+                        lambda rest, chain, blocked: [RootInterval(Fraction(0), Fraction(2))])
+    with pytest.raises(VerificationError, match="overlap"):
+        isolate_real_roots(lin(1) * (X ** 2 - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +23,11 @@ from canonforms.cli import (
     run,
 )
 from canonforms.matrix import Mat
+from canonforms.oscillations import OscSystem, char_poly
 
 from fractions import Fraction
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 CHAIN3_TEXT = """FIELD Q
@@ -79,6 +87,8 @@ def test_print_parse_print_fixed_point():
 @pytest.mark.parametrize("text,needle", [
     ("FIELD R\nROWS 1 COLS 1\n1\n", "unknown field"),
     ("FIELD GF 6\nROWS 1 COLS 1\n1\n", "not prime"),
+    ("FIELD GF 318665857834031151167461\nROWS 1 COLS 1\n1\n",
+     "modulus 318665857834031151167461 exceeds the supported limit"),
     ("FIELD Q\nROWS 1 COLS 2\n1\n", "unexpected end"),
     ("FIELD Q\nROWS 1 COLS 1\n1 2\n", "wrong entry count"),
     ("FIELD Q\nROWS 1 COLS 1\n1/0\n", "zero denominator"),
@@ -101,6 +111,17 @@ def test_eldiv_output(tmp_path):
     code, out = invoke(["eldiv", path])
     assert code == EXIT_OK
     assert out.strip() == "(λ), (λ-1), (λ-3)"
+
+
+def test_eldiv_and_jordan_over_a_61_bit_prime(tmp_path):
+    # 2^61 - 1: primality by Miller-Rabin, not trial division up to 2^30.5
+    path = write(tmp_path, "a.mat", "FIELD GF 2305843009213693951\n"
+                                    "ROWS 2 COLS 2\n2 1\n1 2\n")
+    code, out = invoke(["eldiv", path])
+    p = 2 ** 61 - 1
+    assert code == EXIT_OK and out.strip() == f"(λ+{p - 1}), (λ+{p - 3})"
+    code, out = invoke(["jordan", "--json", path])
+    assert code == EXIT_OK and json.loads(out)["verified"] is True
 
 
 def test_smith_reports_unimodular(tmp_path):
@@ -232,6 +253,51 @@ def test_oscillate_output(tmp_path):
     assert "verdict (Lagrange 1766):    conditional" in out
     assert "verdict (Weierstrass 1858): stable" in out
     assert "t does NOT leave the sine" in out
+
+
+def _oscillate_json(tmp_path, mass, stiffness):
+    """Run `oscillate --json` in a fresh interpreter; (exit code, report,
+    wall seconds)."""
+    paths = [write(tmp_path, name, print_matrix(Mat(QQ, m)))
+             for name, m in (("m.mat", mass), ("k.mat", stiffness))]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "canonforms", "oscillate", "--json"] + paths,
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, json.loads(proc.stdout), time.perf_counter() - start
+
+
+def test_oscillate_large_stiffness_1x1(tmp_path):
+    k = 10 ** 30 + 57
+    code, rep, seconds = _oscillate_json(tmp_path, [[1]], [[k]])
+    assert code == EXIT_OK and seconds < 5
+    [mode] = rep["invariants"]["modes"]
+    assert mode["root"] == str(k) and mode["kind"] == "oscillatory"
+
+
+def test_oscillate_large_stiffness_2x2(tmp_path):
+    mass = [[2, 1], [1, 3]]
+    stiff = [[10 ** 30 + 57, 3], [3, 10 ** 35 - 9]]
+    code, rep, seconds = _oscillate_json(tmp_path, mass, stiff)
+    assert code == EXIT_OK and seconds < 5
+    inv = rep["invariants"]
+    f = char_poly(OscSystem(Mat(QQ, mass), Mat(QQ, stiff)))
+    assert inv["char_poly"] == f.render("x", compact=True)
+
+    def direct(s):   # det(K - s M) of a 2x2 by the cofactor formula
+        (a, b), (c, d) = [[kk - s * mm for kk, mm in zip(kr, mr)]
+                          for kr, mr in zip(stiff, mass)]
+        return a * d - b * c
+
+    assert f.degree == 2 and all(f(s) == direct(s) for s in range(3))
+    modes = inv["modes"]
+    assert len(modes) == 2
+    for mode in modes:
+        lo, hi = (Fraction(x) for x in mode["root_interval"])
+        assert f(lo) * f(hi) < 0                # one root in (lo, hi]
+        assert mode["kind"] == "oscillatory" and lo >= 0
+    assert inv["verdict_weierstrass_1858"] == "stable"
 
 
 def test_oscillate_rejects_indefinite_mass(tmp_path):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import canonforms.canonical as canonical
+import canonforms.cli as cli
 import canonforms.matrix as matrix
 import canonforms.pencil as pencil
 import canonforms.smith as smith
@@ -205,9 +206,14 @@ def test_mat_inverse_identity_check(monkeypatch):
         matrix.mat_inverse(Mat(QQ, [[1, 2], [3, 4]]))
 
 
-# The two asserts of the `smith` subcommand are the documented exception;
-# every other check in the library must raise explicitly.
-_ASSERT_ALLOWLIST = {("cli.py", "_cmd_smith"): 2}
+# Every check in the library raises VerificationError explicitly: no
+# `assert` statement (gone under python -O) and no bare AssertionError.
+_ASSERT_ALLOWLIST = {}
+
+
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
 def _asserts_by_function(path):
@@ -218,7 +224,9 @@ def _asserts_by_function(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, child.name)
                 continue
-            if isinstance(child, ast.Assert):
+            if isinstance(child, ast.Assert) or (
+                    isinstance(child, ast.Raise) and child.exc is not None
+                    and _raises_assertion_error(child)):
                 key = (path.name, owner)
                 found[key] = found.get(key, 0) + 1
             walk(child, owner)
@@ -232,3 +240,59 @@ def test_no_assert_statements_outside_the_allowlist():
     for path in sorted((SRC / "canonforms").glob("*.py")):
         found.update(_asserts_by_function(path))
     assert found == _ASSERT_ALLOWLIST
+
+
+def test_lint_counts_asserts_and_bare_assertion_errors(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(x):\n    assert x\n    raise AssertionError('no')\n"
+                    "def g():\n    raise AssertionError\n"
+                    "def h():\n    raise VerificationError('fine')\n",
+                    encoding="utf-8")
+    assert _asserts_by_function(path) == {("mod.py", "f"): 2, ("mod.py", "g"): 1}
+
+
+# ---------------------------------------------------------------------------
+# exit code 3: a failed internal check reaches the CLI user as one line
+
+
+def test_cli_failed_check_exits_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "a.mat"
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 2\n3 4\n", encoding="utf-8")
+    real = cli.smith_form
+
+    def wrong_u(m):
+        u, s, v = real(m)
+        return u * 2, s, v
+
+    monkeypatch.setattr(cli, "smith_form", wrong_u)
+    assert cli.run(["smith", str(path)]) == cli.EXIT_VERIFY == 3
+    err = capsys.readouterr().err
+    assert err == "internal check failed: smith identity U (xI - A) V = S fails\n"
+
+
+_WRONG_U_CLI_SCRIPT = """
+import sys
+import canonforms.cli as cli
+real = cli.smith_form
+def wrong(m):
+    u, s, v = real(m)
+    return u * 2, s, v
+cli.smith_form = wrong
+print("debug", __debug__)
+print("exit", cli.run(sys.argv[1:]))
+"""
+
+
+def test_cli_failed_check_exits_3_under_python_O(tmp_path):
+    path = tmp_path / "a.mat"
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 2\n3 4\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_U_CLI_SCRIPT, "smith", str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "exit 3"]
+    assert proc.stderr == ("internal check failed: smith identity "
+                           "U (xI - A) V = S fails\n")
