@@ -43,12 +43,10 @@ from .matrix import (
     PolynomialRing,
     ShapeError,
     SingularMatrixError,
-    adjugate,
     det,
     k_minors,
     mat_inverse,
     nullspace,
-    unimodular_inverse,
 )
 from .oscillations import (
     InertiaResult,

@@ -14,6 +14,11 @@ reduction, and that one reduction supplies everything: its diagonal gives
 the invariant ledger (and decides similarity), V gives the left factor, and
 V^{-1} is carried through the reduction itself, so no transform goes
 through an adjugate or any other matrix inverse over F[x].
+
+Each public form is a private builder (``_rational_form``, ``_primary_form``,
+``_jordan_form``) applied to A's reduction and ledger, so a caller holding
+both (``canonforms verify``) reduces xI - A once for all three forms; each
+form adds only the reduction of its own xI - F.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .algebra import (
     scalar_key,
 )
 from .matrix import Mat, ShapeError, det, mat_inverse
-from .smith import _ledger, _tracked_smith, char_matrix
+from .smith import DivisorData, _ledger, _tracked_smith, char_matrix
 
 
 class SplitFieldRequired(ArithmeticError):
@@ -146,23 +151,15 @@ def hypercompanion(base: Poly, exponent: int) -> Mat:
 # Transform recovery through the Smith reduction of xI - A
 
 
-def _matrix_poly_coefficients(q: Mat) -> List[Mat]:
-    """Split a matrix over F[x] into constant-matrix coefficients."""
-    ring = q.domain
-    base = ring.base
-    deg = max((e.degree for row in q.entries for e in row), default=0)
-    deg = max(deg, 0)
-    out = []
-    for k in range(deg + 1):
-        out.append(Mat(base, ((e.coeff(k) for e in row) for row in q.entries)))
-    return out
-
 def _right_value(q: Mat, b: Mat) -> Mat:
-    """Evaluate a matrix polynomial at B with the powers on the right."""
-    coeffs = _matrix_poly_coefficients(q)
-    acc = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        acc = acc * b + coeffs[k]
+    """Evaluate a matrix polynomial at B with the powers on the right
+    (Horner's rule on its constant-matrix coefficients)."""
+    base = q.domain.base
+    deg = max(e.degree for row in q.entries for e in row)
+    acc = None
+    for k in range(max(deg, 0), -1, -1):
+        coeff = Mat(base, ((e.coeff(k) for e in row) for row in q.entries))
+        acc = coeff if acc is None else acc * b + coeff
     return acc
 
 
@@ -188,14 +185,53 @@ def _conjugator(a: Mat, a_red, b: Mat, b_red) -> Mat:
     return t
 
 
-def similarity_transform(a: Mat, b: Mat) -> Mat:
-    """Invertible T with inverse(T) * A * T == B, assuming equal invariant
-    factors; raises if the Smith forms of xI - A and xI - B differ."""
-    return _conjugator(a, _char_smith(a), b, _char_smith(b))
-
-
 def _block_sort_key(base: Poly, size: int):
     return (base.sort_key(), -size)
+
+
+def _reduce(a: Mat):
+    """A's reduction (diagonal, V, V^{-1}) and the ledger read off its
+    diagonal: everything a form builder needs."""
+    a_red = _char_smith(a)
+    return a_red, _ledger(a, a_red[0])
+
+
+def _assemble(kind: str, a: Mat, a_red, blocks: Sequence[Mat], descriptors,
+              structure: Optional[JordanStructure] = None) -> CanonicalResult:
+    """The block diagonal form, conjugated to A through A's reduction and
+    the form's own, as a verified CanonicalResult."""
+    form = Mat.block_diagonal(a.domain, blocks)
+    return CanonicalResult(kind, tuple(descriptors), form,
+                           _conjugator(a, a_red, form, _char_smith(form)),
+                           verified=True, structure=structure)
+
+
+def _rational_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
+    factors = sorted(dd.nontrivial_invariant_factors(),
+                     key=lambda f: _block_sort_key(f, f.degree))
+    return _assemble("rational", a, a_red, [companion(f) for f in factors],
+                     factors)
+
+
+def _primary_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
+    divisors = sorted(dd.elementary_divisors,
+                      key=lambda be: _block_sort_key(be[0], be[1]))
+    return _assemble("primary", a, a_red,
+                     [hypercompanion(base, e) for base, e in divisors], divisors)
+
+
+def _jordan_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
+    nonlinear = sorted({base for base, _ in dd.elementary_divisors
+                        if base.degree != 1},
+                       key=lambda f: f.sort_key())
+    if nonlinear:
+        raise SplitFieldRequired(nonlinear)
+    divisors = sorted(dd.elementary_divisors,
+                      key=lambda be: _block_sort_key(be[0], be[1]))
+    pairs = [(-base.coeff(0), e) for base, e in divisors]
+    return _assemble("jordan", a, a_red,
+                     [jordan_block(a.domain, ev, e) for ev, e in pairs], pairs,
+                     structure=eldiv_to_jordan(divisors))
 
 
 def rational_canonical_form(a: Mat) -> CanonicalResult:
@@ -203,20 +239,7 @@ def rational_canonical_form(a: Mat) -> CanonicalResult:
 
     Exists over the base field for every square matrix; no root extraction
     is involved."""
-    a_red = _char_smith(a)
-    dd = _ledger(a, a_red[0])
-    factors = sorted(dd.nontrivial_invariant_factors(),
-                     key=lambda f: _block_sort_key(f, f.degree))
-    blocks = [companion(f) for f in factors]
-    r = Mat.block_diagonal(a.domain, blocks)
-    t = _conjugator(a, a_red, r, _char_smith(r))
-    return CanonicalResult(
-        kind="rational",
-        blocks=tuple(factors),
-        matrix=r,
-        transform=t,
-        verified=True,
-    )
+    return _rational_form(a, *_reduce(a))
 
 
 def primary_form(a: Mat) -> CanonicalResult:
@@ -224,20 +247,7 @@ def primary_form(a: Mat) -> CanonicalResult:
 
     For a linear irreducible base the block is the Jordan block, so this form
     refines the rational form without ever leaving the base field."""
-    a_red = _char_smith(a)
-    dd = _ledger(a, a_red[0])
-    divisors = sorted(dd.elementary_divisors,
-                      key=lambda be: _block_sort_key(be[0], be[1]))
-    blocks = [hypercompanion(base, e) for base, e in divisors]
-    h = Mat.block_diagonal(a.domain, blocks)
-    t = _conjugator(a, a_red, h, _char_smith(h))
-    return CanonicalResult(
-        kind="primary",
-        blocks=tuple(divisors),
-        matrix=h,
-        transform=t,
-        verified=True,
-    )
+    return _primary_form(a, *_reduce(a))
 
 
 def jordan_form(a: Mat) -> CanonicalResult:
@@ -247,31 +257,7 @@ def jordan_form(a: Mat) -> CanonicalResult:
 
     Raises SplitFieldRequired carrying the offending irreducible factors
     otherwise; primary_form is the base-field fallback."""
-    a_red = _char_smith(a)
-    dd = _ledger(a, a_red[0])
-    nonlinear = sorted({base for base, _ in dd.elementary_divisors
-                        if base.degree != 1},
-                       key=lambda f: f.sort_key())
-    if nonlinear:
-        raise SplitFieldRequired(nonlinear)
-    divisors = sorted(dd.elementary_divisors,
-                      key=lambda be: _block_sort_key(be[0], be[1]))
-    blocks = []
-    pairs = []
-    for base, e in divisors:
-        ev = -base.coeff(0)
-        blocks.append(jordan_block(a.domain, ev, e))
-        pairs.append((ev, e))
-    j = Mat.block_diagonal(a.domain, blocks)
-    t = _conjugator(a, a_red, j, _char_smith(j))
-    return CanonicalResult(
-        kind="jordan",
-        blocks=tuple(pairs),
-        matrix=j,
-        transform=t,
-        verified=True,
-        structure=eldiv_to_jordan(divisors),
-    )
+    return _jordan_form(a, *_reduce(a))
 
 
 def eldiv_to_jordan(divisors: Sequence[Tuple[Poly, int]]) -> JordanStructure:

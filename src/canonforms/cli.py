@@ -1,6 +1,6 @@
 """Command-line surface: parse matrix files, dispatch, report, self-verify.
 
-Matrix file format (bit-exact, UTF-8, ASCII hyphen-minus for negatives):
+Matrix file format (bit-exact, ASCII only, hyphen-minus for negatives):
 
     FIELD Q            # or: FIELD GF 7
     ROWS 3 COLS 3      # dimensions
@@ -8,10 +8,12 @@ Matrix file format (bit-exact, UTF-8, ASCII hyphen-minus for negatives):
     -1 2 1
     0 1 1
 
-Rational entries are ``a`` or ``a/b``; GF(p) entries are integers reduced
-modulo p; ``#`` starts a comment.  Exit codes: 0 success, 1 input error,
-2 mathematical refusal (the refusal message names the reason), 3 failed
-internal verification (the message names the check; always a library bug).
+Integers are ``[+-]?[0-9]+``, rational entries ``a`` or ``a/b``; GF(p)
+entries are integers reduced modulo p; ``#`` starts a comment.  Exit codes:
+0 success, 1 input error (at its line:col when it has one, such as the
+first byte outside ASCII), 2 mathematical refusal (the refusal message
+names the reason), 3 failed internal verification (the message names the
+check; always a library bug).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import hashlib
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -36,6 +39,10 @@ from .algebra import (
 )
 from .canonical import (
     SplitFieldRequired,
+    _conjugator,
+    _jordan_form,
+    _primary_form,
+    _rational_form,
     jordan_form,
     primary_form,
     rational_canonical_form,
@@ -56,6 +63,7 @@ from .pencil import (
 from .smith import (
     _divisor_str,
     _ledger,
+    _tracked_smith,
     char_matrix,
     divisor_data,
     gcd_minors_chain,
@@ -70,10 +78,21 @@ EXIT_VERIFY = 3
 
 
 class MatrixParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
+    """An input error, prefixed with its 1-based line:col when it has one."""
+
+    def __init__(self, message: str, line: Optional[int] = None,
+                 col: Optional[int] = None):
+        super().__init__(message if line is None else f"{line}:{col}: {message}")
         self.line = line
         self.col = col
+
+
+def _int(tok: str) -> int:
+    """int() of ASCII decimal integers only; int() alone also takes '1_0'
+    and the digits of other scripts."""
+    if not re.fullmatch(r"[+-]?[0-9]+", tok):
+        raise ValueError(f"not an integer: {tok!r}")
+    return int(tok)
 
 
 def _tokenize(text: str):
@@ -118,7 +137,7 @@ def parse_matrix(text: str) -> Mat:
     elif tok == "GF":
         tok2, ln2, col2 = need("modulus")
         try:
-            p = int(tok2)
+            p = _int(tok2)
         except ValueError:
             raise MatrixParseError(f"modulus must be an integer, got {tok2!r}",
                                    ln2, col2) from None
@@ -133,7 +152,7 @@ def parse_matrix(text: str) -> Mat:
         raise MatrixParseError(f"expected ROWS, got {tok!r}", ln, col)
     tok, ln, col = need("row count")
     try:
-        nrows = int(tok)
+        nrows = _int(tok)
     except ValueError:
         raise MatrixParseError(f"row count must be an integer, got {tok!r}",
                                ln, col) from None
@@ -142,7 +161,7 @@ def parse_matrix(text: str) -> Mat:
         raise MatrixParseError(f"expected COLS, got {tok!r}", ln, col)
     tok, ln, col = need("column count")
     try:
-        ncols = int(tok)
+        ncols = _int(tok)
     except ValueError:
         raise MatrixParseError(f"column count must be an integer, got {tok!r}",
                                ln, col) from None
@@ -164,21 +183,21 @@ def parse_matrix(text: str) -> Mat:
 def _parse_entry(tok: str, dom, ln: int, col: int):
     if isinstance(dom, PrimeField):
         try:
-            return dom.coerce(int(tok))
+            return dom.coerce(_int(tok))
         except ValueError:
             raise MatrixParseError(
                 f"GF entries are integers, got {tok!r}", ln, col) from None
     if "/" in tok:
         num_s, den_s = tok.split("/", 1)
         try:
-            num, den = int(num_s), int(den_s)
+            num, den = _int(num_s), _int(den_s)
         except ValueError:
             raise MatrixParseError(f"malformed rational {tok!r}", ln, col) from None
         if den == 0:
             raise MatrixParseError(f"zero denominator in {tok!r}", ln, col)
         return Fraction(num, den)
     try:
-        return Fraction(int(tok))
+        return Fraction(_int(tok))
     except ValueError:
         raise MatrixParseError(f"malformed entry {tok!r}", ln, col) from None
 
@@ -268,18 +287,26 @@ class _Report:
 # Subcommand implementations (each returns (exit_code, report))
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise MatrixParseError(f"cannot read {path}: {exc.strerror}", 0, 0) from None
+        raise MatrixParseError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _ascii_text(data: bytes) -> str:
+    if data.isascii():
+        return data.decode("ascii")
+    i = next(k for k, byte in enumerate(data) if byte > 0x7F)
+    raise MatrixParseError(f"non-ASCII byte 0x{data[i]:02x}",
+                           data.count(b"\n", 0, i) + 1, i - data.rfind(b"\n", 0, i))
 
 
 def _load(path: str) -> Tuple[Mat, str]:
-    text = _read_file(path)
+    data = _read_file(path)
     try:
-        m = parse_matrix(text)
+        m = parse_matrix(_ascii_text(data))
     except MatrixParseError as exc:
         raise MatrixParseError(f"{path}:{exc}", exc.line, exc.col) from None
     return m, print_matrix(m)
@@ -287,7 +314,7 @@ def _load(path: str) -> Tuple[Mat, str]:
 
 def _require_square(m: Mat, path: str) -> None:
     if not m.is_square():
-        raise MatrixParseError(f"{path}: expected a square matrix", 0, 0)
+        raise MatrixParseError(f"{path}: expected a square matrix")
 
 
 def _cmd_smith(args) -> Tuple[int, _Report]:
@@ -344,20 +371,35 @@ def _cmd_eldiv(args) -> Tuple[int, _Report]:
     return EXIT_OK, rep
 
 
-def _form_command(kind: str, builder):
+def _form_command(kind: str, builder, name: str = "form"):
     def run_it(args) -> Tuple[int, _Report]:
         a, canon = _load(args.matrix)
         _require_square(a, args.matrix)
         rep = _Report(kind, _digest(canon))
-        res = builder(a)
+        try:
+            res = builder(a)
+        except SplitFieldRequired as exc:
+            names = ", ".join(_poly_str(f, HUMAN_VAR) for f in exc.factors)
+            rep.say(f"refused: characteristic polynomial does not split over the "
+                    f"base field; irreducible factor(s): {names}")
+            rep.say("hint: `primary` produces the base-field normal form instead")
+            rep.invariants["refusal"] = "SplitFieldRequired"
+            rep.invariants["factors"] = [_poly_str(f, "x") for f in exc.factors]
+            rep.verified = False
+            return EXIT_REFUSED, rep
         rep.invariants["blocks"] = _blocks_json(res)
         rep.transforms["form"] = _mat_json(res.matrix)
         rep.transforms["T"] = _mat_json(res.transform)
         rep.verified = res.verified
         rep.say(f"{kind} form:")
         rep.say(_mat_human(res.matrix))
+        if res.structure is not None:
+            pairs = [[_entry_str(ev), list(sizes)] for ev, sizes in res.structure.blocks]
+            rep.invariants["structure"] = pairs
+            rep.say("structure: " + "; ".join(
+                f"eigenvalue {ev}: sizes {sizes}" for ev, sizes in pairs))
         if not args.no_transform:
-            rep.say("T =  (inverse(T) A T = form)")
+            rep.say(f"T =  (inverse(T) A T = {name})")
             rep.say(_mat_human(res.transform))
         rep.say(f"verified: {res.verified}")
         return EXIT_OK, rep
@@ -378,39 +420,7 @@ def _blocks_json(res) -> list:
 
 _cmd_rcf = _form_command("rcf", rational_canonical_form)
 _cmd_primary = _form_command("primary", primary_form)
-
-
-def _cmd_jordan(args) -> Tuple[int, _Report]:
-    a, canon = _load(args.matrix)
-    _require_square(a, args.matrix)
-    rep = _Report("jordan", _digest(canon))
-    try:
-        res = jordan_form(a)
-    except SplitFieldRequired as exc:
-        names = ", ".join(_poly_str(f, HUMAN_VAR) for f in exc.factors)
-        rep.say(f"refused: characteristic polynomial does not split over the "
-                f"base field; irreducible factor(s): {names}")
-        rep.say("hint: `primary` produces the base-field normal form instead")
-        rep.invariants["refusal"] = "SplitFieldRequired"
-        rep.invariants["factors"] = [_poly_str(f, "x") for f in exc.factors]
-        rep.verified = False
-        return EXIT_REFUSED, rep
-    rep.invariants["blocks"] = _blocks_json(res)
-    rep.invariants["structure"] = [
-        [_entry_str(ev), list(sizes)] for ev, sizes in res.structure.blocks]
-    rep.transforms["form"] = _mat_json(res.matrix)
-    rep.transforms["T"] = _mat_json(res.transform)
-    rep.verified = res.verified
-    rep.say("jordan form:")
-    rep.say(_mat_human(res.matrix))
-    rep.say("structure: " + "; ".join(
-        f"eigenvalue {_entry_str(ev)}: sizes {list(sizes)}"
-        for ev, sizes in res.structure.blocks))
-    if not args.no_transform:
-        rep.say("T =  (inverse(T) A T = J)")
-        rep.say(_mat_human(res.transform))
-    rep.say(f"verified: {res.verified}")
-    return EXIT_OK, rep
+_cmd_jordan = _form_command("jordan", jordan_form, "J")
 
 
 def _cmd_similar(args) -> Tuple[int, _Report]:
@@ -420,7 +430,7 @@ def _cmd_similar(args) -> Tuple[int, _Report]:
     _require_square(b, args.matrix_b)
     rep = _Report("similar", _digest(canon_a, canon_b))
     if a.domain != b.domain or a.rows != b.rows:
-        raise MatrixParseError("similarity needs equal sizes over one field", 0, 0)
+        raise MatrixParseError("similarity needs equal sizes over one field")
     ok, t = similar(a, b)
     rep.invariants["similar"] = ok
     if ok:
@@ -443,7 +453,7 @@ def _load_pencil(path_p: str, path_q: str) -> Tuple[Pencil, str, str]:
     try:
         pc = Pencil(p, q)
     except Exception as exc:
-        raise MatrixParseError(f"invalid pencil: {exc}", 0, 0) from None
+        raise MatrixParseError(f"invalid pencil: {exc}") from None
     return pc, canon_p, canon_q
 
 
@@ -537,7 +547,7 @@ def _cmd_kron_form(args) -> Tuple[int, _Report]:
         else:
             m, pc, expected = kronecker_elementary_form(args.kind, args.size)
     except ValueError as exc:
-        raise MatrixParseError(str(exc), 0, 0) from None
+        raise MatrixParseError(str(exc)) from None
     got = pencil_det(pc)
     if got == expected:
         match, sign = "exact", 1
@@ -568,7 +578,7 @@ def _cmd_oscillate(args) -> Tuple[int, _Report]:
     try:
         sys_ = OscSystem(m, k)
     except ValueError as exc:
-        raise MatrixParseError(str(exc), 0, 0) from None
+        raise MatrixParseError(str(exc)) from None
     report = mode_report(sys_)
     rep.invariants["char_poly"] = _poly_str(report.char, "x")
     rep.invariants["verdict_lagrange_1766"] = report.verdicts.lagrange_1766
@@ -623,16 +633,19 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     rng = random.Random(args.seed)
     checks: List[Tuple[str, bool]] = []
 
+    # one tracked reduction of xI - A serves the Smith checks, the ledger,
+    # all three forms and the self-similarity witness
     x_mat = char_matrix(a)
-    u, s, v = smith_form(x_mat)
+    u, s, v, w = _tracked_smith(x_mat)
     checks.append(("smith identity U (xI - A) V = S", u * x_mat * v == s))
     du, dv = det(u), det(v)
     checks.append(("U unimodular", (not du.is_zero()) and du.degree == 0))
     checks.append(("V unimodular", (not dv.is_zero()) and dv.degree == 0))
-    diag = [s.entries[i][i] for i in range(s.rows)]
+    diag = tuple(s.entries[i][i] for i in range(s.rows))
     chain_ok = all((diag[i + 1] % diag[i]).is_zero() for i in range(len(diag) - 1))
     checks.append(("divisibility d_k | d_{k+1}", chain_ok))
 
+    a_red = (diag, v, w)
     dd = _ledger(a, diag)
     prod = Poly.one(a.domain)
     for f in dd.invariant_factors:
@@ -646,18 +659,19 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     else:
         rep.say(f"note: minor-enumeration oracle skipped (n = {a.rows} > 5)")
 
-    rcf = rational_canonical_form(a)
+    rcf = _rational_form(a, a_red, dd)
     checks.append(("rational form transform", rcf.verified))
-    prim = primary_form(a)
+    prim = _primary_form(a, a_red, dd)
     checks.append(("primary form transform", prim.verified))
     try:
-        jd = jordan_form(a)
+        jd = _jordan_form(a, a_red, dd)
         checks.append(("jordan form transform", jd.verified))
     except SplitFieldRequired:
         rep.say("note: jordan form refused (characteristic polynomial does "
                 "not split); primary form covers this input")
-    ok_sim, t = similar(a, a)
-    checks.append(("self-similarity witness", ok_sim and t is not None))
+    # raises VerificationError unless inverse(T) A T = A holds exactly
+    t = _conjugator(a, a_red, a, a_red)
+    checks.append(("self-similarity witness", t is not None))
 
     for trial in range(args.trials):
         t0 = _random_unimodular(a.domain, a.rows, rng)

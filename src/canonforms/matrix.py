@@ -351,33 +351,6 @@ def _exact_div(num, den, dom):
     return num / den
 
 
-def det_cofactor(m: Mat):
-    """Determinant by recursive cofactor expansion (test oracle, small n)."""
-    if not m.is_square():
-        raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
-    dom = m.domain
-    if n == 1:
-        return m.entries[0][0]
-    acc = dom.zero
-    cols = list(range(n))
-    for j in range(n):
-        c = m.entries[0][j]
-        if scalar_is_zero(c):
-            continue
-        rest = m.submatrix(range(1, n), [x for x in cols if x != j])
-        term = c * det_cofactor(rest)
-        acc = acc - term if j % 2 else acc + term
-    return acc
-
-
-def adjugate(m: Mat) -> Mat:
-    """Transpose of the cofactor matrix; satisfies M * adj(M) = det(M) * I."""
-    if not m.is_square():
-        raise ShapeError("adjugate of a non-square matrix")
-    return Mat(m.domain, zip(*(_adjugate_column(m, j) for j in range(m.rows))))
-
-
 def _adjugate_column(m: Mat, j: int) -> tuple:
     """Column j of adj(M): the signed cofactors of row j of a square M
     (n minors of order n - 1; adj of a 1x1 matrix is [1])."""
@@ -488,20 +461,3 @@ def mat_inverse(m: Mat) -> Mat:
     if m * inv != Mat.identity(dom, n):
         raise VerificationError("M * inverse(M) must be the identity")
     return inv
-
-
-def unimodular_inverse(m: Mat) -> Mat:
-    """Inverse of a unimodular matrix over Z or F[x], via adjugate / det."""
-    d = det(m)
-    dom = m.domain
-    if isinstance(dom, IntegerRing):
-        if d not in (1, -1):
-            raise SingularMatrixError("not unimodular over Z", determinant=d)
-        adj = adjugate(m)
-        return adj if d == 1 else -adj
-    if isinstance(dom, PolynomialRing):
-        if d.is_zero() or d.degree != 0:
-            raise SingularMatrixError("not unimodular over F[x]", determinant=d)
-        inv = dom.base.one / d.coeff(0)
-        return adjugate(m) * Poly.constant(dom.base, inv)
-    raise DomainError("unimodular_inverse expects Z or F[x] entries")

@@ -275,7 +275,7 @@ def analyze_roots(sys: OscSystem) -> RootSummary:
     zero = f(0) == 0
     negative = distinct - positive - (1 if zero else 0)
     repeated = sf_degree < n
-    mult = _root_multiplicities(terms)
+    mult = _root_multiplicities(terms, chain)
     if all_real and sum(m for _, m in mult) != n:
         raise VerificationError("multiplicities must sum to n")
     return RootSummary(
@@ -290,19 +290,20 @@ def analyze_roots(sys: OscSystem) -> RootSummary:
     )
 
 
-def _root_multiplicities(terms) -> Tuple[Tuple[object, int], ...]:
+def _root_multiplicities(terms, chain) -> Tuple[Tuple[object, int], ...]:
     """Distinct roots with multiplicities from the factor terms of f: exact
     rationals (the linear terms) come back as Fractions, irrational roots as
     sign-definite isolating RootIntervals of the product of the nonlinear
-    terms of each multiplicity."""
+    terms of each multiplicity.  ``chain`` is the Sturm chain of the product
+    of all the bases; a product equal to its head reuses it."""
     out: List[Tuple[object, int]] = []
     for m in sorted({t.exponent for t in terms}):
         roots, rest = _split_linear([t for t in terms if t.exponent == m])
         out.extend(roots)
         if rest.degree >= 1:
-            chain = _sturm_chain(rest)
-            for iv in _isolate(rest, chain, ()):
-                out.append((_sign_definite(chain, iv), m))
+            rest_chain = chain if rest == chain[0] else _sturm_chain(rest)
+            for iv in _isolate(rest, rest_chain, ()):
+                out.append((_sign_definite(rest_chain, iv), m))
     out.sort(key=_root_position)
     return tuple(out)
 

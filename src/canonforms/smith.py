@@ -455,11 +455,6 @@ def char_matrix(a: Mat) -> Mat:
     return _linear_pencil(Mat.identity(a.domain, a.rows), -a)
 
 
-def char_poly_of(a: Mat) -> Poly:
-    """det(xI - A), the monic characteristic polynomial."""
-    return det(char_matrix(a))
-
-
 def divisor_data(a: Mat) -> DivisorData:
     """Invariant factors and elementary divisors of a square matrix.
 

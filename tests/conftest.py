@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from canonforms.algebra import QQ, Poly, PrimeField, scalar_is_zero
-from canonforms.matrix import Mat, det
+from canonforms.algebra import QQ, DomainError, IntegerRing, Poly, PrimeField, scalar_is_zero
+from canonforms.matrix import Mat, PolynomialRing, ShapeError, SingularMatrixError, det
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -66,6 +66,57 @@ def rational_roots_by_divisors(f: Poly):
         if mult:
             roots.append((r, mult))
     return sorted(roots)
+
+
+def det_cofactor(m: Mat):
+    """Determinant by recursive cofactor expansion along the first row
+    (oracle for small n)."""
+    if not m.is_square():
+        raise ShapeError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 1:
+        return m.entries[0][0]
+    acc = m.domain.zero
+    for j in range(n):
+        c = m.entries[0][j]
+        if scalar_is_zero(c):
+            continue
+        term = c * det_cofactor(m.submatrix(range(1, n), [x for x in range(n) if x != j]))
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def adjugate(m: Mat) -> Mat:
+    """Transpose of the cofactor matrix, all n^2 minors of order n - 1
+    (adj of a 1x1 matrix is [1]); M * adj(M) = det(M) * I."""
+    if not m.is_square():
+        raise ShapeError("adjugate of a non-square matrix")
+    n = m.rows
+    if n == 1:
+        return Mat(m.domain, [[m.domain.one]])
+    out = [[m.domain.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows = [x for x in range(n) if x != i]
+        for j in range(n):
+            c = det(m.submatrix(rows, [x for x in range(n) if x != j]))
+            out[j][i] = -c if (i + j) % 2 else c
+    return Mat(m.domain, out)
+
+
+def unimodular_inverse(m: Mat) -> Mat:
+    """Inverse of a unimodular matrix over Z or F[x], as adjugate / det."""
+    d = det(m)
+    dom = m.domain
+    if isinstance(dom, IntegerRing):
+        if d not in (1, -1):
+            raise SingularMatrixError("not unimodular over Z", determinant=d)
+        adj = adjugate(m)
+        return adj if d == 1 else -adj
+    if isinstance(dom, PolynomialRing):
+        if d.is_zero() or d.degree != 0:
+            raise SingularMatrixError("not unimodular over F[x]", determinant=d)
+        return adjugate(m) * Poly.constant(dom.base, dom.base.one / d.coeff(0))
+    raise DomainError("unimodular_inverse expects Z or F[x] entries")
 
 
 def chain3():

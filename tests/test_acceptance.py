@@ -21,7 +21,7 @@ from canonforms.algebra import (
 )
 from canonforms.canonical import jordan_block, similar
 from canonforms.cli import run as cli_run
-from canonforms.matrix import Mat, PolynomialRing, adjugate, det, mat_inverse
+from canonforms.matrix import Mat, PolynomialRing, det, mat_inverse
 from canonforms.oscillations import (
     OscSystem,
     analyze_roots,
@@ -52,6 +52,7 @@ from conftest import (
     J6_CHAIN3,
     J6_CHAIN21,
     J6_SEMISIMPLE,
+    adjugate,
     chain3,
     jordan6,
     proportional,

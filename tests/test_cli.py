@@ -102,6 +102,28 @@ def test_parse_errors_have_positions(text, needle):
     assert exc.value.line >= 1 and exc.value.col >= 1
 
 
+@pytest.mark.parametrize("data,where,needle", [
+    (b"\xff\xfeFIELD Q\nROWS 1 COLS 1\n1\n", "1:1", "non-ASCII byte 0xff"),
+    ("FIELD Q\nROWS 1 COLS 1\n\u0663\n".encode("utf-8"), "3:1", "non-ASCII byte 0xd9"),
+    (b"FIELD Q\nROWS 1 COLS 1\n1_0\n", "3:1", "malformed entry '1_0'"),
+], ids=["utf16-bom", "arabic-indic-digit", "underscore-digits"])
+def test_file_bytes_outside_ascii_integers_are_input_errors(tmp_path, capsys, data,
+                                                            where, needle):
+    path = tmp_path / "a.mat"
+    path.write_bytes(data)
+    code, out = invoke(["eldiv", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"input error: {where}: {path}:{where}: {needle}\n"
+
+
+def test_input_error_without_a_position(tmp_path, capsys):
+    path = write(tmp_path, "rect.mat", "FIELD Q\nROWS 1 COLS 2\n1 2\n")
+    code, _ = invoke(["eldiv", path])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {path}: expected a square matrix\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -188,6 +210,28 @@ def test_verify_builds_its_ledger_from_the_smith_form(tmp_path, monkeypatch):
     code, out = invoke(["verify", "--trials", "2", a])
     assert code == EXIT_OK and "FAIL" not in out
     assert len(calls) == 2   # the conjugation trials only
+
+
+def test_verify_reduces_xI_minus_A_once(tmp_path, monkeypatch):
+    import canonforms.canonical as canonical
+    import canonforms.smith as smith
+
+    a = parse_matrix(CHAIN3_TEXT)
+    x_mat = smith.char_matrix(a)
+    reductions, ledgers = [], []
+    for module in (cli, canonical):
+        orig = module._tracked_smith
+        monkeypatch.setattr(module, "_tracked_smith", lambda m, orig=orig: (
+            reductions.append(m == x_mat) or orig(m)))
+    for module in (cli, canonical, smith):
+        orig = module._ledger
+        monkeypatch.setattr(module, "_ledger", lambda m, diag, orig=orig: (
+            ledgers.append(m == a) or orig(m, diag)))
+    code, out = invoke(["verify", "--trials", "2", write(tmp_path, "a.mat", CHAIN3_TEXT)])
+    assert code == EXIT_OK and "FAIL" not in out
+    # xI - A once; the other three are the forms' own xI - F
+    assert reductions.count(True) == 1 and len(reductions) == 4
+    assert ledgers.count(True) == 1
 
 
 def test_similar_with_witness(tmp_path):

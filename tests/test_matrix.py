@@ -12,17 +12,22 @@ from canonforms.matrix import (
     PolynomialRing,
     ShapeError,
     SingularMatrixError,
-    adjugate,
     det,
     det_bareiss,
-    det_cofactor,
     k_minors,
     mat_inverse,
     nullspace,
     rref,
+)
+from conftest import (
+    adjugate,
+    chain3,
+    det_cofactor,
+    proportional,
+    rand_matrix,
+    rand_unimodular,
     unimodular_inverse,
 )
-from conftest import chain3, rand_matrix, rand_unimodular, proportional
 
 
 def test_det_singular_chain_matrix():

@@ -20,6 +20,8 @@ from canonforms.algebra import Poly, QQ, RootInterval, VerificationError, scalar
 from canonforms.matrix import Mat, PolynomialRing, det
 from canonforms.oscillations import OscSystem, mode_report
 
+from conftest import adjugate
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 I3 = Mat.identity(QQ, 3)
 # roots (3 - sqrt 5)/2, (3 + sqrt 5)/2 and 5
@@ -28,20 +30,7 @@ MIXED = OscSystem(I3, Mat(QQ, [[2, 1, 0], [1, 1, 0], [0, 0, 5]]))
 
 # ---------------------------------------------------------------------------
 # the old route, kept here as the oracle: an inline K - s M and the full
-# n x n adjugate (n^2 cofactors)
-
-
-def _full_adjugate(m: Mat) -> Mat:
-    n = m.rows
-    if n == 1:
-        return Mat(m.domain, [[m.domain.one]])
-    out = [[m.domain.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows = [x for x in range(n) if x != i]
-        for j in range(n):
-            c = det(m.submatrix(rows, [x for x in range(n) if x != j]))
-            out[j][i] = -c if (i + j) % 2 else c
-    return Mat(m.domain, out)
+# n x n adjugate of conftest (n^2 cofactors)
 
 
 def _inline_pencil(sys_: OscSystem) -> Mat:
@@ -53,7 +42,7 @@ def _inline_pencil(sys_: OscSystem) -> Mat:
 
 def _oracle_eigenvector(sys_: OscSystem, s):
     """First nonzero column of adj(K - s M), or None when it vanishes."""
-    adj = _full_adjugate(sys_.stiffness - sys_.mass * s)
+    adj = adjugate(sys_.stiffness - sys_.mass * s)
     for j in range(adj.cols):
         col = adj.col(j)
         if any(not scalar_is_zero(c) for c in col):
@@ -98,7 +87,7 @@ def systems(draw):
 def test_modes_match_the_full_adjugate_route(sys_):
     rep = mode_report(sys_)
     assert rep.char == det(_inline_pencil(sys_))
-    poly_col = tuple(_full_adjugate(_inline_pencil(sys_)).col(0))
+    poly_col = tuple(adjugate(_inline_pencil(sys_)).col(0))
     for mode in rep.modes:
         if isinstance(mode.root, RootInterval):
             assert mode.eigenvector is None
@@ -114,13 +103,13 @@ def test_modes_match_the_full_adjugate_route(sys_):
     assert osc.adjugate_column_polynomials(sys_) == poly_col
     last = sys_.size - 1
     assert (osc.adjugate_column_polynomials(sys_, -1)
-            == tuple(_full_adjugate(_inline_pencil(sys_)).col(last)))
+            == tuple(adjugate(_inline_pencil(sys_)).col(last)))
 
 
 def test_adjugate_is_the_columns_zipped():
-    m = Mat(QQ, [[1, 2, 0], [3, -1, 4], [0, 5, 2]])
-    assert matrix.adjugate(m) == _full_adjugate(m)
-    assert matrix.adjugate(Mat(QQ, [[7]])) == Mat(QQ, [[1]])
+    for m in (Mat(QQ, [[1, 2, 0], [3, -1, 4], [0, 5, 2]]), Mat(QQ, [[7]])):
+        cols = [matrix._adjugate_column(m, j) for j in range(m.rows)]
+        assert Mat(QQ, zip(*cols)) == adjugate(m)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +133,6 @@ def _counted_report(monkeypatch, sys_):
         _count(monkeypatch, osc, name, calls)
     _count(monkeypatch, osc, "_adjugate_column", calls,
            when=lambda m, j: isinstance(m.domain, PolynomialRing))
-
-    def no_full_adjugate(m):
-        raise AssertionError("mode_report must not build a full adjugate")
-
-    monkeypatch.setattr(matrix, "adjugate", no_full_adjugate)
     report = mode_report(sys_)
     return report, calls
 
@@ -158,6 +142,20 @@ def test_one_report_computes_each_intermediate_once(monkeypatch):
     assert sum(isinstance(m.root, RootInterval) for m in report.modes) == 2
     assert calls == {"char_poly": 1, "analyze_roots": 1,
                      "adjugate_column_polynomials": 1, "_adjugate_column": 1}
+
+
+def test_one_sturm_chain_without_rational_roots_or_repeats(monkeypatch):
+    # det(K - s M) = s^2 - 3s + 1: no rational root, one multiplicity, so
+    # the chain of the square-free part also isolates the roots
+    calls = {}
+    _count(monkeypatch, osc, "_sturm_chain", calls)
+    summary = osc.analyze_roots(OscSystem(Mat.identity(QQ, 2), Mat(QQ, [[2, 1], [1, 1]])))
+    assert [type(root) for root, _ in summary.roots] == [RootInterval, RootInterval]
+    assert calls == {"_sturm_chain": 1}
+    # with a rational root split off, the rest needs a chain of its own
+    calls.clear()
+    osc.analyze_roots(MIXED)
+    assert calls == {"_sturm_chain": 2}
 
 
 def test_rational_roots_build_no_polynomial_column(monkeypatch):
@@ -211,7 +209,7 @@ def test_signature_disagreement_raises(monkeypatch):
 
 
 def test_multiplicity_shortfall_raises(monkeypatch):
-    monkeypatch.setattr(osc, "_root_multiplicities", lambda parts: ())
+    monkeypatch.setattr(osc, "_root_multiplicities", lambda terms, chain: ())
     with pytest.raises(VerificationError):
         osc.analyze_roots(MIXED)
 

@@ -1,8 +1,8 @@
 """The Smith reduction's tracked V^{-1} against the adjugate route.
 
 Transforms used to be built as V_A * unimodular_inverse(V_B) evaluated at
-B, with the inverse taken through the adjugate.  That route is kept here as
-the oracle: V_B^{-1} is unique, so the tracked inverse must give the very
+B, with the inverse taken through the adjugate.  That route is kept here,
+with the adjugate oracles of ``conftest``, as the oracle: V_B^{-1} is unique, so the tracked inverse must give the very
 same transform, entry for entry.
 """
 
@@ -16,10 +16,12 @@ from canonforms.canonical import (
     jordan_block,
     primary_form,
     rational_canonical_form,
-    similarity_transform,
+    similar,
 )
-from canonforms.matrix import Mat, mat_inverse, unimodular_inverse
+from canonforms.matrix import Mat, mat_inverse
 from canonforms.smith import _tracked_smith, char_matrix, smith_form
+
+from conftest import unimodular_inverse
 
 FIELDS = (QQ, GF(101))
 
@@ -77,7 +79,7 @@ def test_tracked_inverse_is_two_sided(ab):
 @given(conjugated_blocks())
 def test_transform_equals_adjugate_route(ab):
     a, b = ab
-    assert similarity_transform(a, b) == _adjugate_route(a, b)
+    assert similar(a, b)[1] == _adjugate_route(a, b)
     for build in (rational_canonical_form, primary_form):
         res = build(a)
         assert res.transform == _adjugate_route(a, res.matrix)

@@ -251,6 +251,48 @@ def test_lint_counts_asserts_and_bare_assertion_errors(tmp_path):
     assert _asserts_by_function(path) == {("mod.py", "f"): 2, ("mod.py", "g"): 1}
 
 
+# Every top-level function and class in the library has a user in the
+# library: a reference outside its own body, or an import in __init__.py
+# (the public API).  Names are matched, not resolved, so a same-named
+# attribute anywhere in src/ also counts as a use.
+def _unreferenced_definitions(package):
+    defs, uses = set(), {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = top.name
+                defs.add((path.name, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                uses.setdefault(name, set()).add((path.name, owner))
+    return sorted((fname, name) for fname, name in defs
+                  if not uses.get(name, set()) - {(fname, name)})
+
+
+def test_every_library_definition_has_a_library_user():
+    assert _unreferenced_definitions(SRC / "canonforms") == []
+
+
+def test_lint_finds_definitions_only_tests_could_use(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported\n", encoding="utf-8")
+    (tmp_path / "mod.py").write_text(
+        "def exported():\n    return helper()\n"
+        "def helper():\n    return 1\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Unused:\n    pass\n", encoding="utf-8")
+    assert _unreferenced_definitions(tmp_path) == [("mod.py", "Unused"),
+                                                   ("mod.py", "recursive")]
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: a failed internal check reaches the CLI user as one line
 
