@@ -172,11 +172,12 @@ def _char_smith(a: Mat) -> Tuple[Tuple[Poly, ...], Mat, Mat]:
 
 def _conjugator(a: Mat, a_red, b: Mat, b_red) -> Mat:
     """Verified T with inverse(T) * A * T == B from the reductions of xI - A
-    and xI - B; raises ArithmeticError when their Smith forms differ."""
+    and xI - B.  Callers decide similarity first, so Smith forms that differ
+    here are a failed internal check."""
     diag_a, va, _ = a_red
     diag_b, _, wb = b_red
     if diag_a != diag_b:
-        raise ArithmeticError("matrices are not similar (Smith forms differ)")
+        raise VerificationError("conjugator needs equal Smith forms")
     t = _right_value(va * wb, b)
     if scalar_is_zero(det(t)):
         raise VerificationError("similarity transform degenerated")

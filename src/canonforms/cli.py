@@ -54,6 +54,7 @@ from .pencil import (
     Pencil,
     SingularPencilError,
     _pencil_divisor_str,
+    _pencil_divisors,
     canonical_pencil,
     kronecker_elementary_form,
     pencil_det,
@@ -96,20 +97,14 @@ def _int(tok: str) -> int:
 
 
 def _tokenize(text: str):
-    """Tokens with 1-based (line, col) positions; '#' starts a comment."""
+    """Tokens with 1-based (line, col) positions; '#' starts a comment.
+    Only ASCII whitespace separates tokens (str.isspace also accepts a
+    no-break space)."""
     out = []
     for ln, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
-        i = 0
-        while i < len(body):
-            if body[i].isspace():
-                i += 1
-                continue
-            j = i
-            while j < len(body) and not body[j].isspace():
-                j += 1
-            out.append((body[i:j], ln, i + 1))
-            i = j
+        out.extend((m.group(), ln, m.start() + 1)
+                   for m in re.finditer(r"[^ \t\r\f\v]+", body))
     return out
 
 
@@ -308,7 +303,7 @@ def _load(path: str) -> Tuple[Mat, str]:
     try:
         m = parse_matrix(_ascii_text(data))
     except MatrixParseError as exc:
-        raise MatrixParseError(f"{path}:{exc}", exc.line, exc.col) from None
+        raise MatrixParseError(f"{path}:{exc}") from None
     return m, print_matrix(m)
 
 
@@ -460,12 +455,14 @@ def _load_pencil(path_p: str, path_q: str) -> Tuple[Pencil, str, str]:
 def _cmd_pencil_eldiv(args) -> Tuple[int, _Report]:
     pc, cp, cq = _load_pencil(args.matrix_p, args.matrix_q)
     rep = _Report("pencil-eldiv", _digest(cp, cq))
-    inv = pencil_divisors(pc)
+    det_form = pencil_det(pc)
+    # the form's coefficients are those of det(x P + Q), built once
+    inv = _pencil_divisors(pc, Poly(pc.domain, det_form.coeffs))
     rep.invariants["regular"] = inv.regular
     rep.invariants["rank"] = inv.rank
     rep.invariants["divisors"] = [
         _pencil_divisor_str(b, e, "x") for b, e in inv.multiset()]
-    form = pencil_det(pc).render()
+    form = det_form.render()
     rep.invariants["determinant_form"] = form
     if inv.regular:
         rep.say("regular pencil")
@@ -481,6 +478,8 @@ def _cmd_pencil_eldiv(args) -> Tuple[int, _Report]:
 def _cmd_pencil_equiv(args) -> Tuple[int, _Report]:
     pc1, c1, c2 = _load_pencil(args.matrix_p, args.matrix_q)
     pc2, c3, c4 = _load_pencil(args.matrix_p2, args.matrix_q2)
+    if pc1.domain != pc2.domain or pc1.size != pc2.size:
+        raise MatrixParseError("pencil equivalence needs equal sizes over one field")
     rep = _Report("pencil-equiv", _digest(c1, c2, c3, c4))
     try:
         ok, witness = pencil_equivalent(pc1, pc2)

@@ -3,9 +3,14 @@
 The pencil's invariants are the homogeneous elementary divisors of
 det(u P + v Q): finite divisors come from the Smith form of x P + Q over
 F[x], divisors at the point (1 : 0) from the powers of y in the Smith form
-of P + y Q over F[y].  Regular pencils (nonvanishing determinant form) are
-decided and transformed; singular pencils are detected and reported, their
+of P + y Q over F[y].  Singular pencils are detected and reported, their
 canonical minimal-index theory is deliberately not implemented.
+
+Strict equivalence of regular pencils goes through the shifted members: a
+joint parameter shift that makes both leading members invertible turns each
+pencil into (I, A), and one similarity decision of the two A's decides and
+witnesses (Weierstrass).  The divisor multisets are compared only when no
+such shift exists.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ class Pencil:
     def __post_init__(self):
         if self.p.domain != self.q.domain:
             raise DomainError("pencil members over different fields")
-        if not self.p.is_square() or self.p.rows != self.q.rows:
+        if not (self.p.is_square() and self.q.is_square()
+                and self.p.rows == self.q.rows):
             raise ShapeError("pencil members must be square of equal size")
         if not self.p.domain.is_field:
             raise DomainError("pencil entries must lie in a field")
@@ -165,6 +171,12 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
     pencils the divisor degrees sum to n (checked).  Singular pencils get a
     report carrying the rank and the well-defined finite gcd data only.
     """
+    return _pencil_divisors(pc, det(_linear_pencil(pc.p, pc.q)))
+
+
+def _pencil_divisors(pc: Pencil, fx: Poly) -> PencilInvariants:
+    """pencil_divisors given fx = det(x P + Q), which checks the divisors at
+    infinity: for a regular pencil its degree is n minus their count."""
     n = pc.size
     dom = pc.domain
     x_side = smith_diagonal(_linear_pencil(pc.p, pc.q))
@@ -198,7 +210,7 @@ def pencil_divisors(pc: Pencil) -> PencilInvariants:
     if regular:
         if inv.total_degree() != n:
             raise VerificationError("divisor degrees must sum to n")
-        if det(_linear_pencil(pc.p, pc.q)).degree != degree_det:
+        if fx.degree != degree_det:
             raise VerificationError("infinity bookkeeping mismatch")
     return inv
 
@@ -260,44 +272,27 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
     """Decide strict equivalence of two regular pencils; on success return a
     verified witness (H, K) with H^T (u P + v Q) K = u P' + v Q'.
 
-    Singular input is refused with an explicit diagnosis rather than a
-    guess.  The witness routes both pencils through a joint parameter shift
-    that makes the leading members invertible, reduces each to (I, A), and
-    composes the similarity witness of the two A's.  Over a field with at
-    most size-many elements the divisor points can exhaust every available
-    shift; the decision (still sound) then comes back with witness None.
+    A joint parameter shift makes the leading members of both pencils
+    invertible; each shifted pencil is then (I, A) up to a left factor, and
+    one similarity decision of the two A's (a tracked Smith reduction each)
+    decides and yields the witness.  Only when no shift exists does the
+    decision compare divisor multisets: singular input is refused there with
+    an explicit diagnosis rather than a guess, and over a field with at most
+    2 * size elements, whose points the divisors can exhaust, the (still
+    sound) decision comes back with witness None.
     """
     if pc1.domain != pc2.domain:
         raise DomainError("pencil equivalence needs a common field")
     if pc1.size != pc2.size:
         raise ShapeError("pencil equivalence needs equal sizes")
-    inv1 = pencil_divisors(pc1)
-    inv2 = pencil_divisors(pc2)
-    if not inv1.regular or not inv2.regular:
-        raise SingularPencilError(
-            "singular pencil: canonical minimal-index theory out of scope")
-    if inv1.multiset() != inv2.multiset():
-        return False, None
-    try:
-        h, k = _strict_equivalence_witness(pc1, pc2)
-    except WitnessUnavailable:
-        return True, None
-    ht = h.transpose()
-    if ht * pc1.p * k != pc2.p or ht * pc1.q * k != pc2.q:
-        raise VerificationError("pencil witness failed verification")
-    return True, (h, k)
-
-
-class WitnessUnavailable(ArithmeticError):
-    """No base-field parameter shift avoids the determinant roots (possible
-    only over a field with fewer than size + 1 elements)."""
-
-
-def _strict_equivalence_witness(pc1: Pencil, pc2: Pencil) -> Tuple[Mat, Mat]:
     shift = _joint_regular_shift(pc1, pc2)
     if shift is None:
-        raise WitnessUnavailable(
-            "cannot pick a regular parameter point over this base field")
+        inv1 = pencil_divisors(pc1)
+        inv2 = pencil_divisors(pc2)
+        if not inv1.regular or not inv2.regular:
+            raise SingularPencilError(
+                "singular pencil: canonical minimal-index theory out of scope")
+        return inv1.multiset() == inv2.multiset(), None
     # Invertible parameter substitution applied to both pencils: the witness
     # of the substituted pair is exactly the witness of the original pair.
     (alpha, gamma), (beta, delta) = shift
@@ -305,16 +300,15 @@ def _strict_equivalence_witness(pc1: Pencil, pc2: Pencil) -> Tuple[Mat, Mat]:
     q1 = pc1.p * beta + pc1.q * delta
     p2 = pc2.p * alpha + pc2.q * gamma
     q2 = pc2.p * beta + pc2.q * delta
-    a1 = mat_inverse(p1) * q1
-    a2 = mat_inverse(p2) * q2
-    ok, t = similar(a1, a2)
+    p1_inv = mat_inverse(p1)
+    ok, k = similar(p1_inv * q1, mat_inverse(p2) * q2)
     if not ok:
-        raise VerificationError(
-            "matching invariants must give similar shifted members")
-    t_inv = mat_inverse(t)
-    # H^T = P2 T^{-1} P1^{-1}:  H^T (u P1 + v Q1) T = u P2 + v Q2
-    ht = p2 * t_inv * mat_inverse(p1)
-    return ht.transpose(), t
+        return False, None
+    # H^T = P2 K^{-1} P1^{-1}:  H^T (u P1 + v Q1) K = u P2 + v Q2
+    ht = p2 * mat_inverse(k) * p1_inv
+    if ht * pc1.p * k != pc2.p or ht * pc1.q * k != pc2.q:
+        raise VerificationError("pencil witness failed verification")
+    return True, (ht.transpose(), k)
 
 
 def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
@@ -325,29 +319,23 @@ def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
     pencil, so at most 2n values of c fail for the pair: over GF(p) the
     first 2n + 1 residues hold a working shift whenever p > 2n."""
     dom = pc1.domain
-    leading = []
     if isinstance(dom, RationalField):
-        leading.append((Fraction(1), Fraction(0)))
+        leading = [(Fraction(1), Fraction(0))]
         for k in range(1, 2 * pc1.size + 3):
             leading.append((Fraction(1), Fraction(k)))
             leading.append((Fraction(1), Fraction(-k)))
-        leading.append((Fraction(0), Fraction(1)))
     else:
-        leading.append((dom.one, dom.zero))
-        for c in range(min(dom.characteristic, 2 * pc1.size + 1)):
-            leading.append((dom.one, dom.coerce(c)))
-        leading.append((dom.zero, dom.one))
+        leading = [(dom.one, dom.coerce(c))
+                   for c in range(min(dom.characteristic, 2 * pc1.size + 1))]
+    leading.append((dom.zero, dom.one))
     for alpha, gamma in leading:
         m1 = pc1.p * alpha + pc1.q * gamma
         m2 = pc2.p * alpha + pc2.q * gamma
         if not scalar_is_zero(det(m1)) and not scalar_is_zero(det(m2)):
+            # a complement independent of (alpha, gamma)
             if scalar_is_zero(gamma):
-                complement = (dom.zero, dom.one)   # substitution is identity-like
-            else:
-                complement = (dom.one, dom.zero)   # always independent of (a, c)
-            if scalar_is_zero(alpha * complement[1] - gamma * complement[0]):
-                complement = (dom.zero, dom.one)
-            return (alpha, gamma), complement
+                return (alpha, gamma), (dom.zero, dom.one)
+            return (alpha, gamma), (dom.one, dom.zero)
     return None
 
 

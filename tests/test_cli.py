@@ -94,6 +94,7 @@ def test_print_parse_print_fixed_point():
     ("FIELD Q\nROWS 1 COLS 1\n1/0\n", "zero denominator"),
     ("FIELD Q\nROWS 1 COLS 1\nx\n", "malformed entry"),
     ("FIELD GF 5\nROWS 1 COLS 1\n1/2\n", "GF entries are integers"),
+    ("FIELD Q\nROWS 1 COLS 2\n1\u00a02\n", "3:1: malformed entry '1\\xa02'"),
 ])
 def test_parse_errors_have_positions(text, needle):
     with pytest.raises(MatrixParseError) as exc:
@@ -114,7 +115,7 @@ def test_file_bytes_outside_ascii_integers_are_input_errors(tmp_path, capsys, da
     code, out = invoke(["eldiv", str(path)])
     err = capsys.readouterr().err
     assert code == EXIT_INPUT and out == ""
-    assert err == f"input error: {where}: {path}:{where}: {needle}\n"
+    assert err == f"input error: {path}:{where}: {needle}\n"
 
 
 def test_input_error_without_a_position(tmp_path, capsys):
@@ -192,14 +193,46 @@ def test_not_equivalent_json_skips_the_human_divisor_lines(tmp_path, monkeypatch
 
 
 def test_pencil_eldiv_computes_the_determinant_form_once(tmp_path, monkeypatch):
+    import canonforms.pencil as pencil
+    from canonforms.matrix import _linear_pencil
+
     p = write(tmp_path, "p.mat", "FIELD Q\nROWS 2 COLS 2\n1 0\n0 1\n")
     q = write(tmp_path, "q.mat", "FIELD Q\nROWS 2 COLS 2\n-1 1\n0 -1\n")
-    calls = []
+    calls, dets = [], []
     orig = cli.pencil_det
     monkeypatch.setattr(cli, "pencil_det", lambda pc: calls.append(pc) or orig(pc))
+    orig_det = pencil.det
+    monkeypatch.setattr(pencil, "det", lambda m: dets.append(m) or orig_det(m))
     code, out = invoke(["pencil-eldiv", p, q])
     assert out.endswith("det(uP + vQ) = u^2 - 2uv + v^2\n")
     assert len(calls) == 1
+    x_pencil = _linear_pencil(calls[0].p, calls[0].q)     # x P + Q
+    assert sum(m == x_pencil for m in dets) == 1
+
+
+def test_pencil_with_a_rectangular_member_is_an_input_error(tmp_path, capsys):
+    p = write(tmp_path, "p.mat", "FIELD GF 2\nROWS 3 COLS 3\n0 0 0\n0 0 0\n0 0 0\n")
+    q = write(tmp_path, "q.mat", "FIELD GF 2\nROWS 3 COLS 1\n0\n0\n0\n")
+    code, out = invoke(["pencil-eldiv", p, q])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == (
+        "input error: invalid pencil: pencil members must be square of equal size\n")
+
+
+@pytest.mark.parametrize("second_p,second_q", [
+    ("FIELD GF 7\nROWS 1 COLS 1\n1\n", "FIELD GF 7\nROWS 1 COLS 1\n2\n"),
+    ("FIELD Q\nROWS 2 COLS 2\n1 0\n0 1\n", "FIELD Q\nROWS 2 COLS 2\n2 0\n0 3\n"),
+], ids=["fields", "sizes"])
+def test_pencil_equiv_across_fields_or_sizes_is_an_input_error(tmp_path, capsys,
+                                                              second_p, second_q):
+    p = write(tmp_path, "p.mat", "FIELD Q\nROWS 1 COLS 1\n1\n")
+    q = write(tmp_path, "q.mat", "FIELD Q\nROWS 1 COLS 1\n2\n")
+    p2 = write(tmp_path, "p2.mat", second_p)
+    q2 = write(tmp_path, "q2.mat", second_q)
+    code, out = invoke(["pencil-equiv", p, q, p2, q2])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == (
+        "input error: pencil equivalence needs equal sizes over one field\n")
 
 
 def test_verify_builds_its_ledger_from_the_smith_form(tmp_path, monkeypatch):

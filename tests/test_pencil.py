@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import canonforms.canonical as canonical
+import canonforms.pencil as pencil
+import canonforms.smith as smith
 from canonforms.algebra import (
     GF,
     BinaryForm,
@@ -347,3 +352,102 @@ def test_small_field_decision_without_witness():
     pc = canonical_pencil(inv)
     ok, wit = pencil_equivalent(pc, pc)
     assert ok and wit is None
+
+
+# ---------------------------------------------------------------------------
+# one decision route: the shifted members' similarity
+
+
+def _refuse(*args):
+    raise AssertionError("a shifted pair must not take the divisor route")
+
+
+@pytest.mark.parametrize("case", ["identity-leading", "singular-leading"])
+def test_shifted_pair_decides_through_two_tracked_reductions(case, monkeypatch):
+    rng = random.Random(11)
+    a = rand_matrix(QQ, 3, rng, lo=-2, hi=2)
+    if case == "identity-leading":
+        pc = Pencil(Mat.identity(QQ, 3), a)
+    else:
+        pc = Pencil(Mat(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]), a + Mat.identity(QQ, 3))
+        assert pencil_regular(pc) and scalar_is_zero(det(pc.p))
+    twisted = pc.transform(rand_invertible(QQ, 3, rng), rand_invertible(QQ, 3, rng))
+    reductions = []
+    real = canonical._tracked_smith
+    monkeypatch.setattr(canonical, "_tracked_smith",
+                        lambda m: reductions.append(m) or real(m))
+    for module in (pencil, smith):
+        monkeypatch.setattr(module, "smith_diagonal", _refuse)
+    monkeypatch.setattr(pencil, "pencil_divisors", _refuse)
+    ok, (h, k) = pencil_equivalent(pc, twisted)
+    assert ok and len(reductions) == 2
+    assert h.transpose() * pc.p * k == twisted.p
+    assert h.transpose() * pc.q * k == twisted.q
+
+
+def test_gf2_pair_without_a_shift_decides_without_witness():
+    # diag(1, 1, 0) u + diag(0, 1, 1) v: the leading members P, P + Q and Q
+    # are all singular, so only the divisor route can decide
+    F2 = GF(2)
+    pc = Pencil(Mat(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+                Mat(F2, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    h = Mat(F2, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    k = Mat(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    assert pencil_equivalent(pc, pc.transform(h, k)) == (True, None)
+
+
+def _decide_by_divisors(pc1, pc2):
+    """The divisor-multiset decision: None for a singular pair."""
+    inv1, inv2 = pencil_divisors(pc1), pencil_divisors(pc2)
+    if not (inv1.regular and inv2.regular):
+        return None
+    return inv1.multiset() == inv2.multiset()
+
+
+@st.composite
+def _pencil_pairs(draw):
+    dom = draw(st.sampled_from([QQ, GF(5)]))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-2, 2)
+
+    def square(values):
+        return Mat(dom, [[values.pop() for _ in range(n)] for _ in range(n)])
+
+    def draw_square():
+        return square(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+
+    def draw_invertible():
+        # unit lower times upper with a nonzero diagonal (nonzero mod 5 too)
+        lower, upper = draw_square(), draw_square()
+        diag = draw(st.lists(st.sampled_from([1, 2, -1, -2]), min_size=n, max_size=n))
+        lo = Mat(dom, [[lower.entries[i][j] if j < i else dom.one if j == i else dom.zero
+                        for j in range(n)] for i in range(n)])
+        up = Mat(dom, [[upper.entries[i][j] if j > i else dom.coerce(diag[i]) if j == i
+                        else dom.zero for j in range(n)] for i in range(n)])
+        return lo * up
+
+    pc = Pencil(draw_square(), draw_square())
+    if draw(st.booleans()):
+        return pc, pc.transform(draw_invertible(), draw_invertible())
+    return pc, Pencil(draw_square(), draw_square())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_pencil_pairs())
+def test_equivalence_decision_matches_the_divisor_multisets(pair):
+    pc1, pc2 = pair
+    expected = _decide_by_divisors(pc1, pc2)
+    if expected is None:
+        with pytest.raises(SingularPencilError):
+            pencil_equivalent(pc1, pc2)
+        return
+    ok, wit = pencil_equivalent(pc1, pc2)
+    assert ok == expected
+    if not ok:
+        assert wit is None
+    elif wit is not None:
+        h, k = wit
+        assert h.transpose() * pc1.p * k == pc2.p
+        assert h.transpose() * pc1.q * k == pc2.q
+    else:
+        assert pc1.domain != QQ       # over Q a joint shift always exists

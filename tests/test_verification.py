@@ -112,9 +112,8 @@ def test_smith_identity_check(monkeypatch):
 
 
 def test_pencil_witness_check(monkeypatch):
-    monkeypatch.setattr(
-        pencil, "_strict_equivalence_witness",
-        lambda pc1, pc2: (Mat.identity(QQ, 2), Mat.identity(QQ, 2)))
+    monkeypatch.setattr(pencil, "similar",
+                        lambda a, b: (True, Mat.identity(QQ, 2)))
     p1 = Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]]))
     p2 = Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 0], [0, 2]]))
     with pytest.raises(VerificationError, match="pencil witness"):
@@ -310,6 +309,27 @@ def test_cli_failed_check_exits_3(monkeypatch, tmp_path, capsys):
     assert cli.run(["smith", str(path)]) == cli.EXIT_VERIFY == 3
     err = capsys.readouterr().err
     assert err == "internal check failed: smith identity U (xI - A) V = S fails\n"
+
+
+def test_cli_conjugator_with_differing_smith_forms_exits_3(monkeypatch, tmp_path,
+                                                           capsys):
+    # the form's own reduction disagrees with A's: a library bug, not a
+    # decision, so it must surface as a failed check rather than a traceback
+    path = tmp_path / "a.mat"
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 2\n3 4\n", encoding="utf-8")
+    real = canonical._char_smith
+    calls = []
+
+    def second_off(m):
+        diag, v, w = real(m)
+        calls.append(m)
+        return (diag[::-1] if len(calls) == 2 else diag), v, w
+
+    monkeypatch.setattr(canonical, "_char_smith", second_off)
+    assert cli.run(["rcf", str(path)]) == cli.EXIT_VERIFY
+    assert len(calls) == 2
+    err = capsys.readouterr().err
+    assert err == "internal check failed: conjugator needs equal Smith forms\n"
 
 
 _WRONG_U_CLI_SCRIPT = """
