@@ -5,25 +5,24 @@ the primary form (one hypercompanion block per elementary divisor), the
 Jordan form when the characteristic polynomial splits, and a similarity
 decision with verified witness transforms.
 
-Transforms are recovered uniformly from the Smith reductions of xI - A: if
-U (xI - A) V and U' (xI - B) V' share one Smith form, the matrix polynomial
-V V'^{-1} evaluated at B (powers of B on the right) conjugates A into B.
+One engine builds every transform over the base field from the one Smith
+reduction U (xI - A) V = S that the invariant ledger also reads: column k of
+U^{-1}, which is column k of (xI - A) V divided by d_k, has a value at A
+that generates a cyclic summand with minimal polynomial d_k.  Krylov chains
+from these generators (times (d_k / base^e)(A) for an elementary divisor
+base^e) are the columns of the rational, primary and Jordan transforms, and
+``similar`` composes two of them as T_A T_B^{-1}.  Every transform is
+checked as A T = T F with det T != 0 by explicit raises; no check inverts.
 
-Each characteristic matrix is reduced once per call, by the tracked Smith
-reduction, and that one reduction supplies everything: its diagonal gives
-the invariant ledger (and decides similarity), V gives the left factor, and
-V^{-1} is carried through the reduction itself, so no transform goes
-through an adjugate or any other matrix inverse over F[x].
-
-Each public form is a private builder (``_rational_form``, ``_primary_form``,
-``_jordan_form``) applied to A's reduction and ledger, so a caller holding
-both (``canonforms verify``) reduces xI - A once for all three forms; each
-form adds only the reduction of its own xI - F.
+Each public form is a private builder applied to A's reduction (and ledger),
+so ``canonforms verify`` reduces xI - A once for all three forms; the Jordan
+form is the primary form read with linear bases.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -34,7 +33,7 @@ from .algebra import (
     scalar_key,
 )
 from .matrix import Mat, ShapeError, det, mat_inverse
-from .smith import DivisorData, _ledger, _tracked_smith, char_matrix
+from .smith import DivisorData, _ledger, char_matrix, smith_form
 
 
 class SplitFieldRequired(ArithmeticError):
@@ -67,8 +66,8 @@ class CanonicalResult:
     block descriptors in assembly order: invariant-factor polynomials for the
     rational form, (irreducible base, exponent) pairs for the primary form,
     (eigenvalue, size) pairs for the Jordan form.  ``verified`` is set only
-    after the exact check inverse(T) * A * T == matrix.  Every block comes
-    from a complete factorization over the base field.
+    after the exact checks A * T == T * matrix and det(T) != 0.  Every block
+    comes from a complete factorization over the base field.
     """
 
     kind: str
@@ -131,58 +130,67 @@ def hypercompanion(base: Poly, exponent: int) -> Mat:
     divisor.  For a linear base this is exactly the Jordan block."""
     if exponent < 1:
         raise ValueError("exponent must be positive")
-    dom = base.domain
-    d = base.degree
-    c = companion(base)
-    n = d * exponent
-    z = dom.zero
-    out = [[z] * n for _ in range(n)]
-    for b in range(exponent):
-        off = b * d
-        for i in range(d):
-            for j in range(d):
-                out[off + i][off + j] = c.entries[i][j]
-        if b + 1 < exponent:
-            out[off + d - 1][off + d] = dom.one
+    dom, d = base.domain, base.degree
+    out = [list(row) for row in
+           Mat.block_diagonal(dom, [companion(base)] * exponent).entries]
+    for off in range(d, d * exponent, d):
+        out[off - 1][off] = dom.one
     return Mat(dom, out)
 
 
 # ---------------------------------------------------------------------------
-# Transform recovery through the Smith reduction of xI - A
+# Transforms from the one Smith reduction of xI - A
 
 
-def _right_value(q: Mat, b: Mat) -> Mat:
-    """Evaluate a matrix polynomial at B with the powers on the right
-    (Horner's rule on its constant-matrix coefficients)."""
-    base = q.domain.base
-    deg = max(e.degree for row in q.entries for e in row)
-    acc = None
-    for k in range(max(deg, 0), -1, -1):
-        coeff = Mat(base, ((e.coeff(k) for e in row) for row in q.entries))
-        acc = coeff if acc is None else acc * b + coeff
+def _reduce(a: Mat):
+    x_mat = char_matrix(a)
+    return _summands(x_mat, *smith_form(x_mat)[1:])
+
+
+def _summands(x_mat: Mat, s: Mat, v: Mat):
+    """(diagonal, ((d_k, u_k) for each d_k of degree >= 1)) from
+    U (xI - A) V = S, where u_k = column k of U^{-1} = column k of
+    (xI - A) V divided by d_k."""
+    n = s.rows
+    diag = tuple(s.entries[k][k] for k in range(n))
+    return diag, tuple(
+        (d, tuple(e.exact_div(d) for e in (x_mat * v.submatrix(range(n), (k,))).col(0)))
+        for k, d in enumerate(diag) if d.degree >= 1)
+
+
+def _generator(a: Mat, u: Sequence[Poly], g: Poly) -> Mat:
+    """The column (g u)(A), powers of A on the left: for u = u_k it
+    generates a cyclic summand with minimal polynomial d_k / g."""
+    polys = [g * p for p in u]
+    acc = Mat.zero(a.domain, a.rows, 1)
+    for j in range(max(p.degree for p in polys), -1, -1):
+        acc = a * acc + Mat._raw(a.domain, tuple((p.coeff(j),) for p in polys))
     return acc
 
 
-def _char_smith(a: Mat) -> Tuple[Tuple[Poly, ...], Mat, Mat]:
-    """(Smith diagonal, V, V^{-1}) from the one tracked Smith reduction of
-    xI - A; the diagonal entries are the invariant factors of A."""
-    _, s, v, w = _tracked_smith(char_matrix(a))
-    return tuple(s.entries[k][k] for k in range(s.rows)), v, w
+def _krylov_transform(a: Mat, pieces) -> Mat:
+    """T with A T = T F for F the block diagonal of hypercompanion(base, e)
+    over the (base, e, z) pieces: each block ends in z and, going back,
+    t_(j-1) = A t_j + base_(j mod d) h, with d = deg(base) and h the last
+    column of t_j's companion block."""
+    cols = []
+    for base, exponent, z in pieces:
+        d = base.degree
+        chain = [z]
+        for i in range(d * exponent - 1, 0, -1):
+            if i % d == d - 1:   # the last column of a companion block
+                h = chain[-1]
+            chain.append(a * chain[-1] + h * base.coeff(i % d))
+        cols.extend(reversed(chain))
+    return Mat._raw(a.domain, tuple(zip(*(c.col(0) for c in cols))))
 
 
-def _conjugator(a: Mat, a_red, b: Mat, b_red) -> Mat:
-    """Verified T with inverse(T) * A * T == B from the reductions of xI - A
-    and xI - B.  Callers decide similarity first, so Smith forms that differ
-    here are a failed internal check."""
-    diag_a, va, _ = a_red
-    diag_b, _, wb = b_red
-    if diag_a != diag_b:
-        raise VerificationError("conjugator needs equal Smith forms")
-    t = _right_value(va * wb, b)
+def _checked(a: Mat, t: Mat, f: Mat) -> Mat:
+    """T, once det T != 0 and A T = T F hold exactly."""
     if scalar_is_zero(det(t)):
-        raise VerificationError("similarity transform degenerated")
-    if mat_inverse(t) * a * t != b:
-        raise VerificationError("similarity transform fails inverse(T) A T = B")
+        raise VerificationError("transform degenerated: det T = 0")
+    if a * t != t * f:
+        raise VerificationError("transform fails A T = T F")
     return t
 
 
@@ -190,49 +198,48 @@ def _block_sort_key(base: Poly, size: int):
     return (base.sort_key(), -size)
 
 
-def _reduce(a: Mat):
-    """A's reduction (diagonal, V, V^{-1}) and the ledger read off its
-    diagonal: everything a form builder needs."""
-    a_red = _char_smith(a)
-    return a_red, _ledger(a, a_red[0])
-
-
-def _assemble(kind: str, a: Mat, a_red, blocks: Sequence[Mat], descriptors,
-              structure: Optional[JordanStructure] = None) -> CanonicalResult:
-    """The block diagonal form, conjugated to A through A's reduction and
-    the form's own, as a verified CanonicalResult."""
-    form = Mat.block_diagonal(a.domain, blocks)
+def _assemble(kind: str, a: Mat, pieces, descriptors) -> CanonicalResult:
+    form = Mat.block_diagonal(a.domain, [hypercompanion(b, e) for b, e, _ in pieces])
     return CanonicalResult(kind, tuple(descriptors), form,
-                           _conjugator(a, a_red, form, _char_smith(form)),
-                           verified=True, structure=structure)
+                           _checked(a, _krylov_transform(a, pieces), form), verified=True)
 
 
-def _rational_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
-    factors = sorted(dd.nontrivial_invariant_factors(),
-                     key=lambda f: _block_sort_key(f, f.degree))
-    return _assemble("rational", a, a_red, [companion(f) for f in factors],
-                     factors)
+def _rational_form(a: Mat, a_red) -> CanonicalResult:
+    pieces = sorted(((d, 1, _generator(a, u, Poly.one(a.domain))) for d, u in a_red[1]),
+                    key=lambda p: _block_sort_key(p[0], p[0].degree))
+    return _assemble("rational", a, pieces, [d for d, _, _ in pieces])
 
 
 def _primary_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
-    divisors = sorted(dd.elementary_divisors,
-                      key=lambda be: _block_sort_key(be[0], be[1]))
-    return _assemble("primary", a, a_red,
-                     [hypercompanion(base, e) for base, e in divisors], divisors)
+    # A base's exponent never falls along d_1 | ... | d_n, so its exponents,
+    # largest first, belong to the nontrivial d_k from the last one back; the
+    # generator of base^e in d_k is the column ((d_k / base^e) u_k)(A).
+    summands, seen, keyed = a_red[1], Counter(), []
+    for base, e in dd.elementary_divisors:
+        keyed.append((_block_sort_key(base, e), len(summands) - 1 - seen[base], base, e))
+        seen[base] += 1
+    pieces = [(base, e, _generator(a, summands[k][1], summands[k][0].exact_div(base ** e)))
+              for _, k, base, e in sorted(keyed, key=lambda t: t[:2])]
+    return _assemble("primary", a, pieces, [(base, e) for base, e, _ in pieces])
 
 
-def _jordan_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
-    nonlinear = sorted({base for base, _ in dd.elementary_divisors
-                        if base.degree != 1},
+def _jordan_form(prim: CanonicalResult) -> CanonicalResult:
+    """The primary form read as the Jordan form: for a linear base x - c the
+    hypercompanion block of (x - c)^e is the Jordan block (c, e)."""
+    nonlinear = sorted({base for base, _ in prim.blocks if base.degree != 1},
                        key=lambda f: f.sort_key())
     if nonlinear:
         raise SplitFieldRequired(nonlinear)
-    divisors = sorted(dd.elementary_divisors,
-                      key=lambda be: _block_sort_key(be[0], be[1]))
-    pairs = [(-base.coeff(0), e) for base, e in divisors]
-    return _assemble("jordan", a, a_red,
-                     [jordan_block(a.domain, ev, e) for ev, e in pairs], pairs,
-                     structure=eldiv_to_jordan(divisors))
+    return replace(prim, kind="jordan",
+                   blocks=tuple((-base.coeff(0), e) for base, e in prim.blocks),
+                   structure=eldiv_to_jordan(prim.blocks))
+
+
+def _witness(a: Mat, rcf_a: CanonicalResult, b: Mat, rcf_b: CanonicalResult) -> Mat:
+    """Checked T = T_A T_B^{-1} with A T = T B, for A's and B's transforms
+    to one rational form: the value at B of V_A V_B^{-1} (powers of B on the
+    right), as both send (u_k of B)(B) to (u_k of A)(A)."""
+    return _checked(a, rcf_a.transform * mat_inverse(rcf_b.transform), b)
 
 
 def rational_canonical_form(a: Mat) -> CanonicalResult:
@@ -240,7 +247,7 @@ def rational_canonical_form(a: Mat) -> CanonicalResult:
 
     Exists over the base field for every square matrix; no root extraction
     is involved."""
-    return _rational_form(a, *_reduce(a))
+    return _rational_form(a, _reduce(a))
 
 
 def primary_form(a: Mat) -> CanonicalResult:
@@ -248,7 +255,8 @@ def primary_form(a: Mat) -> CanonicalResult:
 
     For a linear irreducible base the block is the Jordan block, so this form
     refines the rational form without ever leaving the base field."""
-    return _primary_form(a, *_reduce(a))
+    a_red = _reduce(a)
+    return _primary_form(a, a_red, _ledger(a, a_red[0]))
 
 
 def jordan_form(a: Mat) -> CanonicalResult:
@@ -258,7 +266,7 @@ def jordan_form(a: Mat) -> CanonicalResult:
 
     Raises SplitFieldRequired carrying the offending irreducible factors
     otherwise; primary_form is the base-field fallback."""
-    return _jordan_form(a, *_reduce(a))
+    return _jordan_form(primary_form(a))
 
 
 def eldiv_to_jordan(divisors: Sequence[Tuple[Poly, int]]) -> JordanStructure:
@@ -285,17 +293,17 @@ def jordan_to_eldiv(structure: JordanStructure, dom) -> List[Tuple[Poly, int]]:
 
 
 def similar(a: Mat, b: Mat) -> Tuple[bool, Optional[Mat]]:
-    """Decide similarity; on success also return a verified witness T with
-    inverse(T) * A * T == B.
+    """Decide similarity; on success also return a witness T with
+    inverse(T) * A * T == B, checked as A T = T B with det T != 0.
 
     The decision compares the Smith diagonals of xI - A and xI - B, which
-    are the invariant factors, so nothing is factored; the witness composes
-    the transforms of those same two reductions."""
+    are the invariant factors, so nothing is factored; the witness is
+    T_A T_B^{-1} for the transforms of A and B to their rational form."""
     if a.domain != b.domain:
         raise DomainError("similarity needs a common base field")
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise ShapeError("similarity needs square matrices of equal size")
-    a_red, b_red = _char_smith(a), _char_smith(b)
+    a_red, b_red = _reduce(a), _reduce(b)
     if a_red[0] != b_red[0]:
         return False, None
-    return True, _conjugator(a, a_red, b, b_red)
+    return True, _witness(a, _rational_form(a, a_red), b, _rational_form(b, b_red))

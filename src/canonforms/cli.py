@@ -14,6 +14,10 @@ entries are integers reduced modulo p; ``#`` starts a comment.  Exit codes:
 first byte outside ASCII), 2 mathematical refusal (the refusal message
 names the reason), 3 failed internal verification (the message names the
 check; always a library bug).
+
+Limits: ``verify --trials`` is at most MAX_TRIALS = 100 and ``kron-form
+--size`` at most MAX_KRON_SIZE = 32; a value outside 0..limit, like any
+malformed argument, is an input error naming the limit, before any work.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ from .algebra import (
 )
 from .canonical import (
     SplitFieldRequired,
-    _conjugator,
     _jordan_form,
     _primary_form,
     _rational_form,
+    _summands,
+    _witness,
     jordan_form,
     primary_form,
     rational_canonical_form,
@@ -64,7 +69,6 @@ from .pencil import (
 from .smith import (
     _divisor_str,
     _ledger,
-    _tracked_smith,
     char_matrix,
     divisor_data,
     gcd_minors_chain,
@@ -72,6 +76,8 @@ from .smith import (
 )
 
 HUMAN_VAR = "λ"   # lambda; machine output spells it x
+MAX_TRIALS = 100
+MAX_KRON_SIZE = 32
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_REFUSED = 2
@@ -632,10 +638,10 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     rng = random.Random(args.seed)
     checks: List[Tuple[str, bool]] = []
 
-    # one tracked reduction of xI - A serves the Smith checks, the ledger,
+    # one Smith reduction of xI - A serves the Smith checks, the ledger,
     # all three forms and the self-similarity witness
     x_mat = char_matrix(a)
-    u, s, v, w = _tracked_smith(x_mat)
+    u, s, v = smith_form(x_mat)
     checks.append(("smith identity U (xI - A) V = S", u * x_mat * v == s))
     du, dv = det(u), det(v)
     checks.append(("U unimodular", (not du.is_zero()) and du.degree == 0))
@@ -644,7 +650,7 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     chain_ok = all((diag[i + 1] % diag[i]).is_zero() for i in range(len(diag) - 1))
     checks.append(("divisibility d_k | d_{k+1}", chain_ok))
 
-    a_red = (diag, v, w)
+    a_red = _summands(x_mat, s, v)
     dd = _ledger(a, diag)
     prod = Poly.one(a.domain)
     for f in dd.invariant_factors:
@@ -658,18 +664,18 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     else:
         rep.say(f"note: minor-enumeration oracle skipped (n = {a.rows} > 5)")
 
-    rcf = _rational_form(a, a_red, dd)
+    rcf = _rational_form(a, a_red)
     checks.append(("rational form transform", rcf.verified))
     prim = _primary_form(a, a_red, dd)
     checks.append(("primary form transform", prim.verified))
     try:
-        jd = _jordan_form(a, a_red, dd)
+        jd = _jordan_form(prim)
         checks.append(("jordan form transform", jd.verified))
     except SplitFieldRequired:
         rep.say("note: jordan form refused (characteristic polynomial does "
                 "not split); primary form covers this input")
-    # raises VerificationError unless inverse(T) A T = A holds exactly
-    t = _conjugator(a, a_red, a, a_red)
+    # raises VerificationError unless A T = T A and det T != 0 hold exactly
+    t = _witness(a, rcf, a, rcf)
     checks.append(("self-similarity witness", t is not None))
 
     for trial in range(args.trials):
@@ -707,6 +713,21 @@ def _random_unimodular(dom, n: int, rng: random.Random) -> Mat:
 # Argument parsing and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # one input-error line, not the usage text
+        raise MatrixParseError(message)
+
+
+def _bounded(name: str, limit: int):
+    """argparse type: a decimal integer in 0..limit."""
+    def integer(text: str) -> int:
+        value = _int(text)
+        if not 0 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"{value} is outside 0..{name} = {limit}")
+        return value
+    return integer
+
+
 def _global_flags(**defaults) -> argparse.ArgumentParser:
     # without defaults (a subcommand's copy) a flag given before the
     # subcommand keeps its value
@@ -723,7 +744,7 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="canonforms",
         description="Exact canonical forms, invariant factors, and "
                     "matrix-pencil invariants.",
@@ -756,7 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
     kron = sub.add_parser("kron-form", parents=[common],
                           help="elementary bilinear form with determinant identity")
     kron.add_argument("--kind", required=True, choices=["I", "II", "III"])
-    kron.add_argument("--size", required=True, type=int)
+    kron.add_argument("--size", required=True,
+                      type=_bounded("MAX_KRON_SIZE", MAX_KRON_SIZE),
+                      help=f"size of the form, at most MAX_KRON_SIZE = {MAX_KRON_SIZE}")
     kron.add_argument("--a", type=int, default=None)
     kron.add_argument("--b", type=int, default=None)
     kron.set_defaults(fn=_cmd_kron_form)
@@ -765,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common],
                          help="recompute and check every transform identity")
     ver.add_argument("matrix")
-    ver.add_argument("--trials", type=int, default=3,
-                     help="randomized conjugation-invariance trials")
+    ver.add_argument("--trials", type=_bounded("MAX_TRIALS", MAX_TRIALS), default=3,
+                     help=f"conjugation-invariance trials, at most MAX_TRIALS = {MAX_TRIALS}")
     ver.set_defaults(fn=_cmd_verify)
     return ap
 
@@ -774,13 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[List[str]] = None, out=None) -> int:
     """Entry point; prints the report and returns the exit status."""
     out = out if out is not None else sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         code, rep = args.fn(args)
+    except SystemExit as exc:   # --help has printed its text
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except MatrixParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

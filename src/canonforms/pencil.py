@@ -274,7 +274,7 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
 
     A joint parameter shift makes the leading members of both pencils
     invertible; each shifted pencil is then (I, A) up to a left factor, and
-    one similarity decision of the two A's (a tracked Smith reduction each)
+    one similarity decision of the two A's (one Smith reduction each)
     decides and yields the witness.  Only when no shift exists does the
     decision compare divisor multisets: singular input is refused there with
     an explicit diagnosis rather than a guess, and over a field with at most

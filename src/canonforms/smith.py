@@ -97,40 +97,17 @@ def smith_form(m: Mat) -> Tuple[Mat, Mat, Mat]:
 
     The diagonal satisfies d_1 | d_2 | ... with monic (over F[x]) or positive
     (over Z) entries; trailing zeros are allowed for rank-deficient input.
-    The identity U*M*V = S is re-verified exactly before returning.
+    The identity U*M*V = S and the divisibility chain are re-verified
+    exactly before returning.
     """
-    u, s, v, _ = _tracked_smith(m)
-    return u, s, v
-
-
-def _tracked_smith(m: Mat) -> Tuple[Mat, Mat, Mat, Mat]:
-    """(U, S, V, W) with U*M*V = S and W = V^{-1}, all re-verified exactly.
-
-    W is carried through the reduction, so no inverse is ever computed.
-    When S is square with no zero on its diagonal, the check U*M = S*W
-    reuses the U*M product: together with U*M*V = S it gives
-    S*(W*V - I) = 0, hence W*V = I.  Otherwise V*W = I is checked directly.
-    """
-    a, u, v, w = _smith_reduce(m, track=True)
+    a, u, v = _smith_reduce(m, track=True)
     dom = m.domain
-    s = Mat(dom, a)
-    um = Mat(dom, u)
-    vm = Mat(dom, v)
-    wm = Mat(dom, w)
-    um_m = um * m
-    if um_m * vm != s:
+    um, s, vm = Mat(dom, u), Mat(dom, a), Mat(dom, v)
+    if um * m * vm != s:
         raise VerificationError("Smith reduction identity U M V = S violated")
-    diag = [a[k][k] for k in range(min(m.rows, m.cols))]
-    if m.is_square() and not any(scalar_is_zero(d) for d in diag):
-        sw = Mat._raw(dom, tuple(tuple(d * x for x in row)
-                                 for d, row in zip(diag, wm.entries)))
-        inverse_ok = um_m == sw
-    else:
-        inverse_ok = vm * wm == Mat.identity(dom, m.cols)
-    if not inverse_ok:
-        raise VerificationError("tracked inverse W = V^{-1} violated")
-    _check_divisibility_chain(diag, _ops_for(dom))
-    return um, s, vm, wm
+    _check_divisibility_chain([a[k][k] for k in range(min(m.rows, m.cols))],
+                              _ops_for(dom))
+    return um, s, vm
 
 
 def _smith_reduce(m: Mat, track: bool):
@@ -138,17 +115,9 @@ def _smith_reduce(m: Mat, track: bool):
     dom = m.domain
     a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
-    if track:
-        # W = V^{-1}: every column operation on V applies its inverse to W
-        # as a row operation
-        u = [[dom.one if i == j else dom.zero for j in range(nr)]
-             for i in range(nr)]
-        v = [[dom.one if i == j else dom.zero for j in range(nc)]
-             for i in range(nc)]
-        w = [[dom.one if i == j else dom.zero for j in range(nc)]
-             for i in range(nc)]
-    else:
-        u = v = w = None
+    def eye(k):
+        return [[dom.one if i == j else dom.zero for j in range(k)] for i in range(k)]
+    u, v = (eye(nr), eye(nc)) if track else (None, None)
 
     def swap_rows(i, j):
         if i != j:
@@ -163,7 +132,6 @@ def _smith_reduce(m: Mat, track: bool):
             if track:
                 for row in v:
                     row[i], row[j] = row[j], row[i]
-                w[i], w[j] = w[j], w[i]
 
     def row_sub(i, j, q):
         # row_i -= q * row_j
@@ -178,8 +146,6 @@ def _smith_reduce(m: Mat, track: bool):
         if track:
             for row in v:
                 row[i] = row[i] - q * row[j]
-            # the inverse operation: W[j] += q * W[i]
-            w[j] = [x + q * y for x, y in zip(w[j], w[i])]
 
     def find_pivot(t):
         best = None
@@ -251,7 +217,7 @@ def _smith_reduce(m: Mat, track: bool):
             a[k][k] = ops.exact_div(d, unit)
             if track:
                 u[k] = [_unit_div(x, unit, dom) for x in u[k]]
-    return a, u, v, w
+    return a, u, v
 
 
 def _unit_div(x, unit, dom):
@@ -275,7 +241,7 @@ def smith_diagonal(m: Mat) -> List:
 
     Runs the same reduction as smith_form without tracking the transforms
     (the invariant-ledger paths never need them)."""
-    a, _, _, _ = _smith_reduce(m, track=False)
+    a, _, _ = _smith_reduce(m, track=False)
     diag = [a[k][k] for k in range(min(m.rows, m.cols))]
     _check_divisibility_chain(diag, _ops_for(m.domain))
     return diag
@@ -355,7 +321,9 @@ def elementary_divisors_from_chain(chain: Sequence) -> List[Tuple]:
     units ignored); a violated chain is rejected.
 
     Returns a sorted multiset of (irreducible base, exponent) pairs; over Z
-    the bases are prime numbers.
+    the bases are prime numbers.  Integers are factored by trial division,
+    so over Z any nonzero entry with |c| > 10^12 is refused with a
+    DomainError (at the bound the worst case takes about 0.1 s).
     """
     items = [c for c in chain if not scalar_is_zero(c)]
     if not items:
@@ -382,6 +350,9 @@ def elementary_divisors_from_chain(chain: Sequence) -> List[Tuple]:
         out.sort(key=lambda t: (t[0].sort_key(), -t[1]))
         return out
     # integer chain
+    if any(abs(c) > 10 ** 12 for c in items):
+        raise DomainError("integer chain entries above 10^12 are refused "
+                          "(trial division)")
     for a, b in zip(items, items[1:]):
         if b % a:
             raise ValueError("chain violates divisibility")

@@ -119,6 +119,20 @@ def unimodular_inverse(m: Mat) -> Mat:
     raise DomainError("unimodular_inverse expects Z or F[x] entries")
 
 
+def _right_value(q: Mat, b: Mat) -> Mat:
+    """Evaluate a matrix polynomial at B with the powers on the right
+    (Horner's rule on its constant-matrix coefficients).  With
+    q = V_A * unimodular_inverse(V_B) from the Smith reductions of xI - A and
+    xI - B this is the old transform route: T with inverse(T) A T = B."""
+    base = q.domain.base
+    deg = max(e.degree for row in q.entries for e in row)
+    acc = None
+    for k in range(max(deg, 0), -1, -1):
+        coeff = Mat(base, ((e.coeff(k) for e in row) for row in q.entries))
+        acc = coeff if acc is None else acc * b + coeff
+    return acc
+
+
 def chain3():
     """Symmetric 3x3 with eigenvalues 0, 1, 3 (the worked tridiagonal demo)."""
     return Mat(QQ, [[1, -1, 0], [-1, 2, 1], [0, 1, 1]])

@@ -252,9 +252,9 @@ def test_verify_reduces_xI_minus_A_once(tmp_path, monkeypatch):
     a = parse_matrix(CHAIN3_TEXT)
     x_mat = smith.char_matrix(a)
     reductions, ledgers = [], []
-    for module in (cli, canonical):
-        orig = module._tracked_smith
-        monkeypatch.setattr(module, "_tracked_smith", lambda m, orig=orig: (
+    for module in (cli, canonical, smith):
+        orig = module.smith_form
+        monkeypatch.setattr(module, "smith_form", lambda m, orig=orig: (
             reductions.append(m == x_mat) or orig(m)))
     for module in (cli, canonical, smith):
         orig = module._ledger
@@ -262,8 +262,8 @@ def test_verify_reduces_xI_minus_A_once(tmp_path, monkeypatch):
             ledgers.append(m == a) or orig(m, diag)))
     code, out = invoke(["verify", "--trials", "2", write(tmp_path, "a.mat", CHAIN3_TEXT)])
     assert code == EXIT_OK and "FAIL" not in out
-    # xI - A once; the other three are the forms' own xI - F
-    assert reductions.count(True) == 1 and len(reductions) == 4
+    # xI - A once: the forms and the witness reuse it, no form reduces xI - F
+    assert reductions == [True]
     assert ledgers.count(True) == 1
 
 
@@ -321,6 +321,49 @@ def test_kron_form_bad_parameters():
     code, _ = invoke(["kron-form", "--kind", "III", "--size", "4",
                       "--a", "2", "--b", "2"])
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["kron-form", "--kind", "I", "--size", "33"],
+     "argument --size: 33 is outside 0..MAX_KRON_SIZE = 32"),
+    (["kron-form", "--kind", "I", "--size", "100000000"],
+     "argument --size: 100000000 is outside 0..MAX_KRON_SIZE = 32"),
+    (["verify", "--trials", "101", "CHAIN3"],
+     "argument --trials: 101 is outside 0..MAX_TRIALS = 100"),
+    (["verify", "--trials", "100000000", "CHAIN3"],
+     "argument --trials: 100000000 is outside 0..MAX_TRIALS = 100"),
+    (["verify", "--trials", "-1", "CHAIN3"],
+     "argument --trials: -1 is outside 0..MAX_TRIALS = 100"),
+    (["verify", "--trials", "2.5", "CHAIN3"],
+     "argument --trials: invalid integer value: '2.5'"),
+])
+def test_arguments_beyond_their_limits_are_input_errors(tmp_path, capsys, argv,
+                                                        message):
+    path = write(tmp_path, "a.mat", CHAIN3_TEXT)
+    code, out = invoke([path if a == "CHAIN3" else a for a in argv])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_arguments_at_their_limits_run(tmp_path):
+    assert cli.MAX_TRIALS == 100 and cli.MAX_KRON_SIZE == 32
+    path = write(tmp_path, "a.mat", "FIELD GF 5\nROWS 2 COLS 2\n1 1\n0 1\n")
+    for trials in ("0", "100"):
+        code, out = invoke(["verify", "--trials", trials, path])
+        assert code == EXIT_OK
+        assert out.count("divisor invariance under conjugation") == int(trials)
+
+
+def test_help_and_docstring_name_both_limits():
+    sub = build_parser()._subparsers._group_actions[0].choices
+
+    def words(text):
+        return " ".join(text.split())
+
+    assert "at most MAX_KRON_SIZE = 32" in words(sub["kron-form"].format_help())
+    assert "at most MAX_TRIALS = 100" in words(sub["verify"].format_help())
+    assert "MAX_TRIALS = 100" in words(cli.__doc__)
+    assert "MAX_KRON_SIZE = 32" in words(cli.__doc__)
 
 
 def test_oscillate_output(tmp_path):

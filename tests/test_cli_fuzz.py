@@ -1,8 +1,11 @@
 """Bounded fuzz of ``cli.run``: every subcommand that reads matrix files, on
 small well-formed files (mixed fields and sizes across files) and on raw
-bytes.  Whatever the input, the run ends in exit 0, 1 or 2 without an
-escaping exception (exit 1 with one input-error line, otherwise a JSON
-report), and the ``--json`` report is the same on a second run."""
+bytes, and the numeric arguments themselves (``verify --trials`` and
+``kron-form --kind/--size/--a/--b``: negatives, zero, values at and just over
+each limit, 10^8 and non-integers).  Whatever the input, the run ends in
+exit 0, 1 or 2 without an escaping exception (exit 1 with one input-error
+line, otherwise a JSON report), and the ``--json`` report is the same on a
+second run."""
 
 import argparse
 import contextlib
@@ -14,7 +17,15 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canonforms.cli import EXIT_INPUT, EXIT_OK, EXIT_REFUSED, build_parser, run
+from canonforms.cli import (
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_REFUSED,
+    MAX_KRON_SIZE,
+    MAX_TRIALS,
+    build_parser,
+    run,
+)
 
 
 def _file_commands():
@@ -77,23 +88,74 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _check_clean_and_stable(argv):
+    first = _run(argv)
+    code, out, err = first
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_REFUSED), first
+    if code == EXIT_INPUT:
+        assert out == "" and err.startswith("input error: "), first
+        assert err.count("\n") == 1 and err.endswith("\n"), first
+    else:
+        json.loads(out)
+    assert _run(argv) == first
+    return code
+
+
+def _write_files(tmp, files):
+    paths = []
+    for i, data in enumerate(files):
+        path = os.path.join(tmp, f"m{i}.mat")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        paths.append(path)
+    return paths
+
+
 @settings(max_examples=150, deadline=None)
 @given(_invocations())
 def test_cli_run_exits_cleanly_and_json_is_stable(invocation):
     command, files, flags = invocation
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for i, data in enumerate(files):
-            path = os.path.join(tmp, f"m{i}.mat")
-            with open(path, "wb") as fh:
-                fh.write(data)
-            paths.append(path)
-        argv = [command, "--json", *flags, *paths]
-        first = _run(argv)
-        code, out, err = first
-        assert code in (EXIT_OK, EXIT_INPUT, EXIT_REFUSED), first
-        if code == EXIT_INPUT:
-            assert out == "" and err.startswith("input error: "), first
-        else:
-            json.loads(out)
-        assert _run(argv) == first
+        _check_clean_and_stable([command, "--json", *flags,
+                                 *_write_files(tmp, files)])
+
+
+def _number_text(low, high, extra):
+    """Integers low..high as text, plus edge values and non-integers."""
+    return st.one_of(st.integers(low, high).map(str),
+                     st.sampled_from(extra + ["100000000", "-100000000", "2.5",
+                                              "1e3", "x", "", " 3", "0x10"]))
+
+
+# accepted sizes stay <= 12 so that every run is quick
+_SIZES = _number_text(-3, 12, [str(MAX_KRON_SIZE + 1)])
+_TRIALS = _number_text(-3, 4, [str(MAX_TRIALS), str(MAX_TRIALS + 1)])
+
+
+@st.composite
+def _argument_invocations(draw):
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(FIELDS))
+        matrix = draw(_matrix_file(field, draw(st.integers(1, 3))))
+        return ["verify", "--trials", draw(_TRIALS)], [matrix]
+    argv = ["kron-form", "--kind", draw(st.sampled_from(["I", "II", "III", "IV", ""])),
+            "--size", draw(_SIZES)]
+    for flag in ("--a", "--b"):
+        if draw(st.booleans()):
+            argv += [flag, draw(_number_text(-4, 4, []))]
+    return argv, []
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argument_invocations())
+def test_cli_arguments_exit_cleanly(invocation):
+    argv, files = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _check_clean_and_stable(argv[:1] + ["--json"] + argv[1:]
+                                       + _write_files(tmp, files))
+    values = dict(zip(argv[1::2], argv[2::2]))
+    for flag, limit, low in (("--trials", MAX_TRIALS, 0),
+                             ("--size", MAX_KRON_SIZE, 2)):
+        text = values.get(flag, "")
+        if text.lstrip("-").isdigit() and not low <= int(text) <= limit:
+            assert code == EXIT_INPUT

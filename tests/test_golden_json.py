@@ -4,8 +4,12 @@ The stored reports under tests/golden/ pin `smith`, `rcf`, `primary`,
 `jordan` and `similar` on every sample_inputs/*.mat file and on the extra
 inputs in tests/golden/*.mat (a conjugated Jordan matrix over Q, so that
 `similar` has a nontrivial witness, and a GF(7) matrix whose characteristic
-polynomial does not split, so that `jordan` refuses).  Refactors of the
-transform engine must keep every byte.
+polynomial does not split, so that `jordan` refuses).  Invariants and forms
+are unique, so every byte of them stays; a transform T is not, and a new
+transform engine may change `transforms.T` alone, after which the stored T
+is re-checked here from its bytes (A T = T F with det T != 0).  The whole
+set is also replayed under ``python -O``, where the library's checks must
+still hold.
 
 Regenerate (only when an output change is intended) with
 
@@ -14,12 +18,17 @@ Regenerate (only when an output change is intended) with
 
 import io
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from canonforms.cli import run
+from canonforms.algebra import scalar_is_zero
+from canonforms.cli import parse_matrix, run
+from canonforms.matrix import Mat, det
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -67,6 +76,63 @@ def test_json_report_is_byte_identical(name, argv):
 
 def test_every_case_has_a_stored_report():
     assert sorted(_codes()) == sorted(name for name, _ in CASES)
+
+
+def _stored_mat(obj, dom):
+    """A matrix from its stored `_mat_json` bytes."""
+    scalar = Fraction if dom.is_field and dom.characteristic == 0 else int
+    flat = [scalar(e) for e in obj["entries"]]
+    cols = obj["cols"]
+    return Mat(dom, [flat[i:i + cols] for i in range(0, len(flat), cols)])
+
+
+def test_every_stored_transform_conjugates():
+    checked = 0
+    for name, argv in CASES:
+        report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        transforms = report.get("transforms", {})
+        if "T" not in transforms:
+            continue
+        a = parse_matrix(Path(argv[1]).read_text(encoding="ascii"))
+        if argv[0] == "similar":
+            f = parse_matrix(Path(argv[2]).read_text(encoding="ascii"))
+        else:
+            f = _stored_mat(transforms["form"], a.domain)
+        t = _stored_mat(transforms["T"], a.domain)
+        assert not scalar_is_zero(det(t)), name
+        assert a * t == t * f, name
+        checked += 1
+    # 7 inputs x (rcf, primary), 6 jordan (GF(7) refuses), and 9 similar
+    # pairs: each input with itself, and conj_j6_blocks21 with j6_blocks21
+    # both ways
+    assert checked == 14 + 6 + 9
+
+
+_REPLAY_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_golden_json import CASES, _run_json
+print(json.dumps({"debug": __debug__,
+                  "runs": {name: _run_json(argv) for name, argv in CASES}}))
+"""
+
+
+def test_every_case_replays_byte_identically_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REPLAY_SCRIPT, str(GOLDEN.parent)],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    # the comparison runs here: the child's asserts are compiled out
+    child = json.loads(proc.stdout)
+    assert child["debug"] is False
+    codes = _codes()
+    assert sorted(child["runs"]) == sorted(codes)
+    for name, (code, text) in child["runs"].items():
+        assert code == codes[name], name
+        assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
 
 
 def _regen():

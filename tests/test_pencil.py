@@ -373,8 +373,8 @@ def test_shifted_pair_decides_through_two_tracked_reductions(case, monkeypatch):
         assert pencil_regular(pc) and scalar_is_zero(det(pc.p))
     twisted = pc.transform(rand_invertible(QQ, 3, rng), rand_invertible(QQ, 3, rng))
     reductions = []
-    real = canonical._tracked_smith
-    monkeypatch.setattr(canonical, "_tracked_smith",
+    real = canonical.smith_form
+    monkeypatch.setattr(canonical, "smith_form",
                         lambda m: reductions.append(m) or real(m))
     for module in (pencil, smith):
         monkeypatch.setattr(module, "smith_diagonal", _refuse)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from canonforms.algebra import GF, Poly, QQ, ZZ, factor
+from canonforms.algebra import GF, DomainError, Poly, QQ, ZZ, factor
 from canonforms.canonical import companion
 from canonforms.matrix import Mat, PolynomialRing, ShapeError, det, mat_inverse
 from canonforms.smith import (
@@ -198,6 +198,17 @@ def test_chain_divisibility_violation_rejected():
 def test_chain_integer_variant():
     # exponents sort descending within one prime
     assert elementary_divisors_from_chain([2, 8]) == [(2, 2), (2, 1)]
+
+
+def test_integer_chain_entries_are_bounded_by_10_to_the_12():
+    # at the bound: 999999999989 is the largest prime below 10^12, the
+    # slowest case for trial division
+    assert elementary_divisors_from_chain([1, 10 ** 12]) == [(2, 12), (5, 12)]
+    assert elementary_divisors_from_chain([-999999999989]) == [(999999999989, 1)]
+    # above it: refused at once, also for a product of two 10-digit primes
+    for entry in (10 ** 12 + 1, -(10 ** 12 + 1), (10 ** 9 + 7) * (10 ** 9 + 9)):
+        with pytest.raises(DomainError, match="10\\^12"):
+            elementary_divisors_from_chain([1, entry])
 
 
 def test_divisor_data_jordan_layouts():

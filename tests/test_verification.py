@@ -16,7 +16,6 @@ import canonforms.pencil as pencil
 import canonforms.smith as smith
 from canonforms import (
     QQ,
-    ZZ,
     Mat,
     Pencil,
     VerificationError,
@@ -29,19 +28,21 @@ from canonforms.smith import char_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# jordan_form with a transform engine that returns the identity: the
-# conjugation check must catch it even with assertions compiled out
+# jordan_form with a chain builder that returns the identity, then the zero
+# matrix: the A T = T F and det T != 0 checks must catch both even with
+# assertions compiled out
 _WRONG_T_SCRIPT = """
 import canonforms.canonical as canonical
 from canonforms import QQ, Mat, VerificationError, jordan_form
 print("debug", __debug__)
-canonical._right_value = lambda q, b: Mat.identity(b.domain, b.rows)
-try:
-    jordan_form(Mat(QQ, [[1, 1], [0, 2]]))
-except VerificationError as exc:
-    print("raised", type(exc).__name__, exc)
-else:
-    print("accepted a wrong transform")
+for name, fake in (("wrong", Mat.identity(QQ, 2)), ("singular", Mat.zero(QQ, 2, 2))):
+    canonical._krylov_transform = lambda a, pieces: fake
+    try:
+        jordan_form(Mat(QQ, [[1, 1], [0, 2]]))
+    except VerificationError as exc:
+        print("raised", name, exc)
+    else:
+        print("accepted", name)
 """
 
 
@@ -52,59 +53,37 @@ def test_conjugation_check_survives_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_T_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "debug False"
-    assert lines[1].startswith("raised VerificationError"), proc.stdout
+    assert proc.stdout.splitlines() == [
+        "debug False", "raised wrong transform fails A T = T F",
+        "raised singular transform degenerated: det T = 0"], proc.stdout
 
 
 def test_wrong_transform_raises_in_process(monkeypatch):
-    monkeypatch.setattr(canonical, "_right_value",
-                        lambda q, b: Mat.identity(b.domain, b.rows))
-    with pytest.raises(VerificationError):
+    monkeypatch.setattr(canonical, "_krylov_transform",
+                        lambda a, pieces: Mat.identity(a.domain, a.rows))
+    with pytest.raises(VerificationError, match="A T = T F"):
         jordan_form(Mat(QQ, [[1, 1], [0, 2]]))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match="A T = T F"):
         similar(Mat(QQ, [[1, 1], [0, 2]]), Mat(QQ, [[1, 0], [0, 2]]))
 
 
 def test_singular_transform_raises(monkeypatch):
-    monkeypatch.setattr(canonical, "_right_value",
-                        lambda q, b: Mat.zero(b.domain, b.rows, b.cols))
+    monkeypatch.setattr(canonical, "_krylov_transform",
+                        lambda a, pieces: Mat.zero(a.domain, a.rows, a.cols))
     with pytest.raises(VerificationError, match="degenerated"):
         jordan_form(Mat(QQ, [[1, 1], [0, 2]]))
-
-
-def _tamper_w(monkeypatch):
-    real = smith._smith_reduce
-
-    def reduce_with_bad_w(m, track):
-        a, u, v, w = real(m, track)
-        if track:
-            w[0] = [x + x for x in w[0]]
-        return a, u, v, w
-
-    monkeypatch.setattr(smith, "_smith_reduce", reduce_with_bad_w)
-
-
-def test_tracked_inverse_check_square_full_rank(monkeypatch):
-    _tamper_w(monkeypatch)
-    with pytest.raises(VerificationError, match="V\\^\\{-1\\}"):
-        smith_form(char_matrix(Mat(QQ, [[1, 2], [3, 4]])))
-
-
-def test_tracked_inverse_check_rank_deficient(monkeypatch):
-    _tamper_w(monkeypatch)
-    with pytest.raises(VerificationError, match="V\\^\\{-1\\}"):
-        smith_form(Mat(ZZ, [[2, 4, 6], [1, 2, 3]]))
+    with pytest.raises(VerificationError, match="degenerated"):
+        similar(Mat(QQ, [[1, 1], [0, 2]]), Mat(QQ, [[1, 0], [0, 2]]))
 
 
 def test_smith_identity_check(monkeypatch):
     real = smith._smith_reduce
 
     def reduce_with_bad_v(m, track):
-        a, u, v, w = real(m, track)
+        a, u, v = real(m, track)
         if track:
             v[0] = [x + x for x in v[0]]
-        return a, u, v, w
+        return a, u, v
 
     monkeypatch.setattr(smith, "_smith_reduce", reduce_with_bad_v)
     with pytest.raises(VerificationError, match="U M V = S"):
@@ -311,25 +290,24 @@ def test_cli_failed_check_exits_3(monkeypatch, tmp_path, capsys):
     assert err == "internal check failed: smith identity U (xI - A) V = S fails\n"
 
 
-def test_cli_conjugator_with_differing_smith_forms_exits_3(monkeypatch, tmp_path,
-                                                           capsys):
-    # the form's own reduction disagrees with A's: a library bug, not a
-    # decision, so it must surface as a failed check rather than a traceback
+@pytest.mark.parametrize("command", ["rcf", "primary", "jordan", "similar"])
+def test_cli_tampered_generator_exits_3(monkeypatch, tmp_path, capsys, command):
+    # a generator that spans nothing is a library bug, not a decision, so it
+    # must surface as a failed check rather than a traceback
     path = tmp_path / "a.mat"
-    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 2\n3 4\n", encoding="utf-8")
-    real = canonical._char_smith
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 1\n0 2\n", encoding="utf-8")
     calls = []
 
-    def second_off(m):
-        diag, v, w = real(m)
-        calls.append(m)
-        return (diag[::-1] if len(calls) == 2 else diag), v, w
+    def zero(a, u, g=None):
+        calls.append(u)
+        return Mat.zero(a.domain, a.rows, 1)
 
-    monkeypatch.setattr(canonical, "_char_smith", second_off)
-    assert cli.run(["rcf", str(path)]) == cli.EXIT_VERIFY
-    assert len(calls) == 2
+    monkeypatch.setattr(canonical, "_generator", zero)
+    files = [str(path)] * (2 if command == "similar" else 1)
+    assert cli.run([command, *files]) == cli.EXIT_VERIFY
+    assert calls
     err = capsys.readouterr().err
-    assert err == "internal check failed: conjugator needs equal Smith forms\n"
+    assert err == "internal check failed: transform degenerated: det T = 0\n"
 
 
 _WRONG_U_CLI_SCRIPT = """
