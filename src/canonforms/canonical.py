@@ -12,11 +12,15 @@ that generates a cyclic summand with minimal polynomial d_k.  Krylov chains
 from these generators (times (d_k / base^e)(A) for an elementary divisor
 base^e) are the columns of the rational, primary and Jordan transforms, and
 ``similar`` composes two of them as T_A T_B^{-1}.  Every transform is
-checked as A T = T F with det T != 0 by explicit raises; no check inverts.
+checked as A T = T F with det T != 0 by explicit raises; no check inverts,
+and A T = T F is decided by one packed-integer product per side
+(``matrix._products_agree``).
 
 Each public form is a private builder applied to A's reduction (and ledger),
 so ``canonforms verify`` reduces xI - A once for all three forms; the Jordan
-form is the primary form read with linear bases.
+form is the primary form read with linear bases.  What the Smith diagonal
+alone decides (a Jordan refusal, a NOT SIMILAR answer) is decided before
+any generator is built.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .algebra import (
     scalar_is_zero,
     scalar_key,
 )
-from .matrix import Mat, ShapeError, det, mat_inverse
+from .matrix import Mat, ShapeError, _products_agree, det, mat_inverse
 from .smith import DivisorData, _ledger, char_matrix, smith_form
 
 
@@ -143,19 +147,22 @@ def hypercompanion(base: Poly, exponent: int) -> Mat:
 
 
 def _reduce(a: Mat):
+    """(xI - A, S, V) from the one Smith reduction U (xI - A) V = S."""
     x_mat = char_matrix(a)
-    return _summands(x_mat, *smith_form(x_mat)[1:])
+    return (x_mat, *smith_form(x_mat)[1:])
+
+
+def _diagonal(s: Mat) -> tuple:
+    return tuple(s.entries[k][k] for k in range(s.rows))
 
 
 def _summands(x_mat: Mat, s: Mat, v: Mat):
-    """(diagonal, ((d_k, u_k) for each d_k of degree >= 1)) from
-    U (xI - A) V = S, where u_k = column k of U^{-1} = column k of
-    (xI - A) V divided by d_k."""
+    """((d_k, u_k) for each d_k of degree >= 1) from U (xI - A) V = S, where
+    u_k = column k of U^{-1} = column k of (xI - A) V divided by d_k."""
     n = s.rows
-    diag = tuple(s.entries[k][k] for k in range(n))
-    return diag, tuple(
+    return tuple(
         (d, tuple(e.exact_div(d) for e in (x_mat * v.submatrix(range(n), (k,))).col(0)))
-        for k, d in enumerate(diag) if d.degree >= 1)
+        for k, d in enumerate(_diagonal(s)) if d.degree >= 1)
 
 
 def _generator(a: Mat, u: Sequence[Poly], g: Poly) -> Mat:
@@ -189,7 +196,7 @@ def _checked(a: Mat, t: Mat, f: Mat) -> Mat:
     """T, once det T != 0 and A T = T F hold exactly."""
     if scalar_is_zero(det(t)):
         raise VerificationError("transform degenerated: det T = 0")
-    if a * t != t * f:
+    if not _products_agree((a, t), (t, f)):
         raise VerificationError("transform fails A T = T F")
     return t
 
@@ -204,17 +211,17 @@ def _assemble(kind: str, a: Mat, pieces, descriptors) -> CanonicalResult:
                            _checked(a, _krylov_transform(a, pieces), form), verified=True)
 
 
-def _rational_form(a: Mat, a_red) -> CanonicalResult:
-    pieces = sorted(((d, 1, _generator(a, u, Poly.one(a.domain))) for d, u in a_red[1]),
+def _rational_form(a: Mat, summands) -> CanonicalResult:
+    pieces = sorted(((d, 1, _generator(a, u, Poly.one(a.domain))) for d, u in summands),
                     key=lambda p: _block_sort_key(p[0], p[0].degree))
     return _assemble("rational", a, pieces, [d for d, _, _ in pieces])
 
 
-def _primary_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
+def _primary_form(a: Mat, summands, dd: DivisorData) -> CanonicalResult:
     # A base's exponent never falls along d_1 | ... | d_n, so its exponents,
     # largest first, belong to the nontrivial d_k from the last one back; the
     # generator of base^e in d_k is the column ((d_k / base^e) u_k)(A).
-    summands, seen, keyed = a_red[1], Counter(), []
+    seen, keyed = Counter(), []
     for base, e in dd.elementary_divisors:
         keyed.append((_block_sort_key(base, e), len(summands) - 1 - seen[base], base, e))
         seen[base] += 1
@@ -223,13 +230,18 @@ def _primary_form(a: Mat, a_red, dd: DivisorData) -> CanonicalResult:
     return _assemble("primary", a, pieces, [(base, e) for base, e, _ in pieces])
 
 
-def _jordan_form(prim: CanonicalResult) -> CanonicalResult:
-    """The primary form read as the Jordan form: for a linear base x - c the
-    hypercompanion block of (x - c)^e is the Jordan block (c, e)."""
-    nonlinear = sorted({base for base, _ in prim.blocks if base.degree != 1},
+def _require_split(divisors) -> None:
+    """Raise SplitFieldRequired unless every (base, e) has a linear base."""
+    nonlinear = sorted({base for base, _ in divisors if base.degree != 1},
                        key=lambda f: f.sort_key())
     if nonlinear:
         raise SplitFieldRequired(nonlinear)
+
+
+def _jordan_form(prim: CanonicalResult) -> CanonicalResult:
+    """The primary form read as the Jordan form: for a linear base x - c the
+    hypercompanion block of (x - c)^e is the Jordan block (c, e)."""
+    _require_split(prim.blocks)
     return replace(prim, kind="jordan",
                    blocks=tuple((-base.coeff(0), e) for base, e in prim.blocks),
                    structure=eldiv_to_jordan(prim.blocks))
@@ -247,7 +259,7 @@ def rational_canonical_form(a: Mat) -> CanonicalResult:
 
     Exists over the base field for every square matrix; no root extraction
     is involved."""
-    return _rational_form(a, _reduce(a))
+    return _rational_form(a, _summands(*_reduce(a)))
 
 
 def primary_form(a: Mat) -> CanonicalResult:
@@ -255,8 +267,8 @@ def primary_form(a: Mat) -> CanonicalResult:
 
     For a linear irreducible base the block is the Jordan block, so this form
     refines the rational form without ever leaving the base field."""
-    a_red = _reduce(a)
-    return _primary_form(a, a_red, _ledger(a, a_red[0]))
+    smith = _reduce(a)
+    return _primary_form(a, _summands(*smith), _ledger(a, _diagonal(smith[1])))
 
 
 def jordan_form(a: Mat) -> CanonicalResult:
@@ -265,8 +277,12 @@ def jordan_form(a: Mat) -> CanonicalResult:
     split into linear factors over the base field.
 
     Raises SplitFieldRequired carrying the offending irreducible factors
-    otherwise; primary_form is the base-field fallback."""
-    return _jordan_form(primary_form(a))
+    otherwise, decided from A's ledger before any transform is built;
+    primary_form is the base-field fallback."""
+    smith = _reduce(a)
+    dd = _ledger(a, _diagonal(smith[1]))
+    _require_split(dd.elementary_divisors)
+    return _jordan_form(_primary_form(a, _summands(*smith), dd))
 
 
 def eldiv_to_jordan(divisors: Sequence[Tuple[Poly, int]]) -> JordanStructure:
@@ -297,13 +313,15 @@ def similar(a: Mat, b: Mat) -> Tuple[bool, Optional[Mat]]:
     inverse(T) * A * T == B, checked as A T = T B with det T != 0.
 
     The decision compares the Smith diagonals of xI - A and xI - B, which
-    are the invariant factors, so nothing is factored; the witness is
-    T_A T_B^{-1} for the transforms of A and B to their rational form."""
+    are the invariant factors, so nothing is factored and no generator is
+    built for a NOT SIMILAR answer; the witness is T_A T_B^{-1} for the
+    transforms of A and B to their rational form."""
     if a.domain != b.domain:
         raise DomainError("similarity needs a common base field")
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise ShapeError("similarity needs square matrices of equal size")
-    a_red, b_red = _reduce(a), _reduce(b)
-    if a_red[0] != b_red[0]:
+    a_smith, b_smith = _reduce(a), _reduce(b)
+    if _diagonal(a_smith[1]) != _diagonal(b_smith[1]):
         return False, None
-    return True, _witness(a, _rational_form(a, a_red), b, _rational_form(b, b_red))
+    return True, _witness(a, _rational_form(a, _summands(*a_smith)),
+                          b, _rational_form(b, _summands(*b_smith)))

@@ -53,7 +53,7 @@ from .canonical import (
     rational_canonical_form,
     similar,
 )
-from .matrix import Mat, det, mat_inverse
+from .matrix import Mat, _products_agree, det, mat_inverse
 from .oscillations import OscSystem, mode_report
 from .pencil import (
     Pencil,
@@ -324,7 +324,7 @@ def _cmd_smith(args) -> Tuple[int, _Report]:
     rep = _Report("smith", _digest(canon))
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
-    if u * x_mat * v != s:
+    if not _products_agree((u, x_mat, v), (s,)):
         raise VerificationError("smith identity U (xI - A) V = S fails")
     du, dv = det(u), det(v)
     if du.degree != 0 or dv.degree != 0:
@@ -642,7 +642,8 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     # all three forms and the self-similarity witness
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
-    checks.append(("smith identity U (xI - A) V = S", u * x_mat * v == s))
+    checks.append(("smith identity U (xI - A) V = S",
+                   _products_agree((u, x_mat, v), (s,))))
     du, dv = det(u), det(v)
     checks.append(("U unimodular", (not du.is_zero()) and du.degree == 0))
     checks.append(("V unimodular", (not dv.is_zero()) and dv.degree == 0))
@@ -650,7 +651,7 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     chain_ok = all((diag[i + 1] % diag[i]).is_zero() for i in range(len(diag) - 1))
     checks.append(("divisibility d_k | d_{k+1}", chain_ok))
 
-    a_red = _summands(x_mat, s, v)
+    summands = _summands(x_mat, s, v)
     dd = _ledger(a, diag)
     prod = Poly.one(a.domain)
     for f in dd.invariant_factors:
@@ -664,9 +665,9 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     else:
         rep.say(f"note: minor-enumeration oracle skipped (n = {a.rows} > 5)")
 
-    rcf = _rational_form(a, a_red)
+    rcf = _rational_form(a, summands)
     checks.append(("rational form transform", rcf.verified))
-    prim = _primary_form(a, a_red, dd)
+    prim = _primary_form(a, summands, dd)
     checks.append(("primary form transform", prim.verified))
     try:
         jd = _jordan_form(prim)

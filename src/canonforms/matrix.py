@@ -6,17 +6,28 @@ functions, so concurrent use is safe.
 
 The determinant is computed by fraction-free Bareiss elimination, whose exact
 divisions are asserted; the same code path serves fields, Z and F[x].
+
+Every identity the library checks (U M V = S, A T = T F, M M^{-1} = I, the
+pencil witness) is decided by ``_products_agree``: each factor becomes an
+integer matrix, with its denominators cleared and a polynomial entry packed
+as its value at x = 2^K (Kronecker substitution), and each side is one
+product of integer matrices.  K is taken from a bound on every coefficient
+either side can produce, so the evaluation is injective and the comparison
+is an exact proof.  ``Mat.__mul__`` computes products; it checks nothing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from typing import Iterable, List, Sequence, Tuple
 
 from .algebra import (
     DomainError,
     IntegerRing,
     Poly,
+    RationalField,
     VerificationError,
     scalar_is_zero,
 )
@@ -458,6 +469,127 @@ def mat_inverse(m: Mat) -> Mat:
     if piv[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular", determinant=dom.zero)
     inv = red.submatrix(range(n), range(n, 2 * n))
-    if m * inv != Mat.identity(dom, n):
+    if not _products_agree((m, inv), (Mat.identity(dom, n),)):
         raise VerificationError("M * inverse(M) must be the identity")
     return inv
+
+
+# ---------------------------------------------------------------------------
+# Exact identity checks by one packed-integer evaluation
+
+
+def _products_agree(left: Sequence[Mat], right: Sequence[Mat]) -> bool:
+    """Decide L_1 L_2 ... == R_1 R_2 ... exactly, with integer arithmetic.
+
+    The factors share one domain: Z, Q, GF(p), or polynomials over one of
+    them.  Over Q each factor is multiplied by the lcm of its denominators,
+    over GF(p) each residue is lifted to [0, p), and every polynomial entry
+    is packed as the integer it takes at x = 2^K (Kronecker substitution).
+    Each side is then one product of integer matrices P_L and P_R, and the
+    identity holds iff P_L den_R - P_R den_L vanishes, over GF(p) digit by
+    digit modulo p.  With B a bound on every coefficient either scaled side
+    can produce, K = bitlen(B) + 1 keeps every coefficient of that difference
+    below 2^K in absolute value (below 2^(K-1) over GF(p), where both sides
+    are nonnegative), so evaluation at 2^K is injective and the answer is a
+    proof (von zur Gathen & Gerhard, Modern Computer Algebra, section 8.4).
+    """
+    dom = left[0].domain
+    for side in (left, right):
+        for f in side:
+            if f.domain != dom:
+                raise DomainError(f"{dom} vs {f.domain}")
+        for f, g in zip(side, side[1:]):
+            if f.cols != g.rows:
+                raise ShapeError("shape mismatch in multiplication")
+    if (left[0].rows, left[-1].cols) != (right[0].rows, right[-1].cols):
+        return False
+    p = dom.characteristic
+    sides = [[(f, *_lift(f, p)) for f in side] for side in (left, right)]
+    (bound_l, den_l), (bound_r, den_r) = map(_side_bound, sides)
+    k = _packing_width(max(bound_l * den_r, bound_r * den_l))
+    lhs, rhs = (_int_product([_rows([_pack(cs, k) for cs in coeffs], f.cols)
+                              for f, coeffs, *_ in side]) for side in sides)
+    for row_l, row_r in zip(lhs, rhs):
+        for x, y in zip(row_l, row_r):
+            if p:
+                if not _digits_vanish_mod(x - y, k, p):
+                    return False
+            elif x * den_r != y * den_l:
+                return False
+    return True
+
+
+def _lift(m: Mat, p: int):
+    """One factor as (its entries in row-major order as lists of
+    low-to-high integer coefficients, denominator, degree, largest
+    absolute coefficient)."""
+    poly = isinstance(m.domain, PolynomialRing)
+    coeffs = [e.coeffs if poly else (e,) for row in m.entries for e in row]
+    den = 1
+    if p:
+        coeffs = [[c.v for c in cs] for cs in coeffs]
+    elif isinstance(m.domain.base if poly else m.domain, RationalField):
+        den = math.lcm(*{c.denominator for cs in coeffs for c in cs})
+        coeffs = [[c.numerator * (den // c.denominator) for c in cs] for cs in coeffs]
+    size = max(map(abs, (c for cs in coeffs for c in cs)), default=0)
+    return coeffs, den, max(1, *map(len, coeffs)) - 1, size
+
+
+def _side_bound(side):
+    """(B, den) for one side's (factor, *lift) tuples: B bounds every
+    coefficient of the product of the lifted factors, den is the product of
+    their denominators.
+
+    An entry of the product sums one term per path through the inner
+    dimensions, and a coefficient of a product of polynomials of degrees
+    d_i sums at most prod(d_i + 1) / max(d_i + 1) coefficient products."""
+    bound = math.prod(f.rows for f, *_ in side[1:])
+    den = 1
+    lengths = []
+    for _, _, factor_den, degree, size in side:
+        bound *= size
+        den *= factor_den
+        lengths.append(degree + 1)
+    return bound * math.prod(lengths) // max(lengths), den
+
+
+def _packing_width(bound: int) -> int:
+    """K with 2^(K-1) > bound: the smallest width at which a difference of
+    two sides bounded by ``bound`` is read off its value at 2^K."""
+    return bound.bit_length() + 1
+
+
+def _pack(coeffs, k: int) -> int:
+    """The integer value at x = 2^k of the polynomial with these
+    low-to-high coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc << k) + c
+    return acc
+
+
+def _rows(flat: list, cols: int) -> list:
+    return [flat[i:i + cols] for i in range(0, len(flat), cols)]
+
+
+def _int_product(factors):
+    acc = factors[0]
+    for f in factors[1:]:
+        cols = tuple(zip(*f))
+        acc = [[sum(map(operator.mul, r, c)) for c in cols] for r in acc]
+    return acc
+
+
+def _digits_vanish_mod(delta: int, k: int, p: int) -> bool:
+    """True iff every balanced base-2^k digit of delta is divisible by p:
+    the digits are the coefficients of a polynomial whose coefficients are
+    below 2^(k-1) in absolute value, so they are read off exactly."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    while delta:
+        digit = delta & mask
+        if digit >= half:
+            digit -= 1 << k
+        if digit % p:
+            return False
+        delta = (delta - digit) >> k
+    return True

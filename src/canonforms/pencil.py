@@ -32,7 +32,7 @@ from .algebra import (
     scalar_is_zero,
 )
 from .canonical import hypercompanion, jordan_block, similar
-from .matrix import Mat, ShapeError, _linear_pencil, det, mat_inverse
+from .matrix import Mat, ShapeError, _linear_pencil, _products_agree, det, mat_inverse
 from .smith import _divisor_str, smith_diagonal
 
 
@@ -306,7 +306,8 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
         return False, None
     # H^T = P2 K^{-1} P1^{-1}:  H^T (u P1 + v Q1) K = u P2 + v Q2
     ht = p2 * mat_inverse(k) * p1_inv
-    if ht * pc1.p * k != pc2.p or ht * pc1.q * k != pc2.q:
+    if not (_products_agree((ht, pc1.p, k), (pc2.p,))
+            and _products_agree((ht, pc1.q, k), (pc2.q,))):
         raise VerificationError("pencil witness failed verification")
     return True, (ht.transpose(), k)
 

@@ -4,6 +4,10 @@ The production path is gcd-driven row/column elimination with the pivot
 chosen as the entry of minimal Euclidean size (absolute value over Z, degree
 over F[x]), ties broken by lowest (row, column).  The gcd-of-minors chain is
 kept as an independent, combinatorial oracle for cross-checking.
+
+``smith_form`` re-checks U M V = S without multiplying polynomial matrices:
+``matrix._products_agree`` packs each factor at x = 2^K and decides the
+identity as one exact product of integer matrices.
 """
 
 from __future__ import annotations
@@ -22,7 +26,15 @@ from .algebra import (
     poly_gcd,
     scalar_is_zero,
 )
-from .matrix import Mat, PolynomialRing, ShapeError, _linear_pencil, det, k_minors
+from .matrix import (
+    Mat,
+    PolynomialRing,
+    ShapeError,
+    _linear_pencil,
+    _products_agree,
+    det,
+    k_minors,
+)
 
 
 class _IntOps:
@@ -103,7 +115,7 @@ def smith_form(m: Mat) -> Tuple[Mat, Mat, Mat]:
     a, u, v = _smith_reduce(m, track=True)
     dom = m.domain
     um, s, vm = Mat(dom, u), Mat(dom, a), Mat(dom, v)
-    if um * m * vm != s:
+    if not _products_agree((um, m, vm), (s,)):
         raise VerificationError("Smith reduction identity U M V = S violated")
     _check_divisibility_chain([a[k][k] for k in range(min(m.rows, m.cols))],
                               _ops_for(dom))

@@ -1,10 +1,14 @@
 """Companion blocks, canonical forms, Jordan dictionary, and similarity."""
 
+import io
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import canonforms.canonical as canonical
 from canonforms.algebra import GF, Poly, QQ, scalar_is_zero
 from canonforms.canonical import (
     SplitFieldRequired,
@@ -19,6 +23,7 @@ from canonforms.canonical import (
     rational_canonical_form,
     similar,
 )
+from canonforms.cli import parse_matrix, run
 from canonforms.matrix import Mat, det, mat_inverse
 from canonforms.smith import char_matrix, divisor_data, gcd_minors_chain
 
@@ -35,6 +40,7 @@ from conftest import (
 )
 
 X = Poly.x(QQ)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def lin(c, dom=QQ):
@@ -227,6 +233,28 @@ def test_jordan_split_field_required():
     assert exc.value.factors == (base,)
     res = primary_form(a)           # the documented fallback
     assert res.verified
+
+
+def test_jordan_refusal_is_decided_before_any_transform(monkeypatch):
+    # the ledger alone decides the refusal: no Krylov chain, det T or
+    # A T = T F check runs, and the CLI report stays byte-identical
+    path = GOLDEN / "gf7_nonsplit4.mat"
+    calls = []
+    monkeypatch.setattr(canonical, "_krylov_transform",
+                        lambda a, pieces: calls.append(pieces))
+    with pytest.raises(SplitFieldRequired) as exc:
+        jordan_form(parse_matrix(path.read_text(encoding="utf-8")))
+    y = Poly.x(GF(7))
+    assert exc.value.factors == (y ** 2 + 1,)
+    assert str(exc.value) == ("characteristic polynomial does not split; "
+                              "irreducible factor(s): x^2+1")
+    buf = io.StringIO()
+    code = run(["jordan", "--json", str(path)], out=buf)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert code == codes["jordan-gf7_nonsplit4"]
+    assert buf.getvalue() == (GOLDEN / "jordan-gf7_nonsplit4.json").read_text(
+        encoding="utf-8")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +452,20 @@ def test_canonical_forms_preserve_trace_det_charpoly(a_chain3):
         tr = sum((m.entries[i][i] for i in range(3)), start=Fraction(0))
         tr_a = sum((a_chain3.entries[i][i] for i in range(3)), start=Fraction(0))
         assert tr == tr_a
+
+
+def test_similar_builds_no_generator_for_a_not_similar_pair(monkeypatch):
+    # the Smith diagonals decide NOT SIMILAR before any column of U^{-1}
+    real, calls = canonical._summands, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(canonical, "_summands", counted)
+    a = jordan6(J6_CHAIN21)
+    assert similar(a, jordan6(J6_CHAIN3)) == (False, None)
+    assert similar(a, jordan6(J6_SEMISIMPLE)) == (False, None)
+    assert calls == []
+    ok, t = similar(a, a)
+    assert ok and t is not None and len(calls) == 2
