@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 
 class DomainError(ValueError):
@@ -1110,14 +1110,12 @@ class BinaryForm:
         return cls(domain, d, (domain.zero,) * (d + 1))
 
     @classmethod
-    def linear_power(cls, domain, a, b, e: int, d: Optional[int] = None) -> "BinaryForm":
-        """(a*u + b*v)^e, optionally padded as a degree-d form (d == e here)."""
+    def linear_power(cls, domain, a, b, e: int) -> "BinaryForm":
+        """(a*u + b*v)^e."""
         a = domain.coerce(a)
         b = domain.coerce(b)
-        coeffs = [domain.zero] * (e + 1)
-        for k in range(e + 1):
-            coeffs[k] = domain.coerce(math.comb(e, k)) * a**k * b ** (e - k)
-        return cls(domain, e, coeffs)
+        return cls(domain, e, [domain.coerce(math.comb(e, k)) * a**k * b ** (e - k)
+                               for k in range(e + 1)])
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for c in self.coeffs)

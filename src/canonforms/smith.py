@@ -418,9 +418,6 @@ class DivisorData:
     invariant_factors: Tuple[Poly, ...]
     elementary_divisors: Tuple[Tuple[Poly, int], ...]
 
-    def nontrivial_invariant_factors(self) -> Tuple[Poly, ...]:
-        return tuple(f for f in self.invariant_factors if f.degree >= 1)
-
     def render(self, var: str = "x") -> str:
         return ", ".join(_divisor_str(b, e, var)
                          for b, e in self.elementary_divisors)

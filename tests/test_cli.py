@@ -336,6 +336,20 @@ def test_kron_form_bad_parameters():
      "argument --trials: -1 is outside 0..MAX_TRIALS = 100"),
     (["verify", "--trials", "2.5", "CHAIN3"],
      "argument --trials: invalid integer value: '2.5'"),
+    (["kron-form", "--kind", "III", "--size", "2", "--a", "1_0", "--b", "3"],
+     "argument --a: invalid integer value: '1_0'"),
+    (["kron-form", "--kind", "III", "--size", "2", "--a", "1", "--b", "\u0663"],
+     "argument --b: invalid integer value: '\u0663'"),
+    (["kron-form", "--kind", "III", "--size", "2", "--a", " 3", "--b", "1"],
+     "argument --a: invalid integer value: ' 3'"),
+    (["kron-form", "--kind", "I", "--size", "\u0663"],
+     "argument --size: invalid integer value: '\u0663'"),
+    (["--seed", "\u0663", "verify", "CHAIN3"],
+     "argument --seed: invalid integer value: '\u0663'"),
+    (["verify", "--seed", "1_0", "CHAIN3"],
+     "argument --seed: invalid integer value: '1_0'"),
+    (["verify", "--seed", " 3", "CHAIN3"],
+     "argument --seed: invalid integer value: ' 3'"),
 ])
 def test_arguments_beyond_their_limits_are_input_errors(tmp_path, capsys, argv,
                                                         message):

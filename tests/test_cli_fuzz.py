@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 from hypothesis import given, settings
@@ -124,7 +125,8 @@ def _number_text(low, high, extra):
     """Integers low..high as text, plus edge values and non-integers."""
     return st.one_of(st.integers(low, high).map(str),
                      st.sampled_from(extra + ["100000000", "-100000000", "2.5",
-                                              "1e3", "x", "", " 3", "0x10"]))
+                                              "1e3", "x", "", " 3", "0x10", "1_0",
+                                              "\u0663"]))
 
 
 # accepted sizes stay <= 12 so that every run is quick
@@ -154,8 +156,11 @@ def test_cli_arguments_exit_cleanly(invocation):
         code = _check_clean_and_stable(argv[:1] + ["--json"] + argv[1:]
                                        + _write_files(tmp, files))
     values = dict(zip(argv[1::2], argv[2::2]))
-    for flag, limit, low in (("--trials", MAX_TRIALS, 0),
-                             ("--size", MAX_KRON_SIZE, 2)):
-        text = values.get(flag, "")
-        if text.lstrip("-").isdigit() and not low <= int(text) <= limit:
+    for flag, low, limit in (("--trials", 0, MAX_TRIALS), ("--size", 2, MAX_KRON_SIZE),
+                             ("--a", None, None), ("--b", None, None)):
+        text = values.get(flag)
+        if text is None:
+            continue
+        if not re.fullmatch(r"[+-]?[0-9]+", text) or (
+                low is not None and not low <= int(text) <= limit):
             assert code == EXIT_INPUT

@@ -230,9 +230,10 @@ def test_lint_counts_asserts_and_bare_assertion_errors(tmp_path):
 
 
 # Every top-level function and class in the library has a user in the
-# library: a reference outside its own body, or an import in __init__.py
-# (the public API).  Names are matched, not resolved, so a same-named
-# attribute anywhere in src/ also counts as a use.
+# library: a reference in its own module outside its own body, or a
+# relative import of its name in another module (__init__.py is the public
+# API).  A bare name in another module does not count: a local variable or
+# an attribute there is not a use of the definition.
 def _unreferenced_definitions(package):
     defs, uses = set(), {}
     for path in sorted(package.glob("*.py")):
@@ -244,16 +245,21 @@ def _unreferenced_definitions(package):
                 defs.add((path.name, owner))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
-                    name = node.id
+                    names, where = [node.id], path.name
                 elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
+                    names, where = [node.attr], path.name
+                elif isinstance(node, ast.ImportFrom) and node.level:
+                    names, where = [a.name for a in node.names], None
                 else:
                     continue
-                uses.setdefault(name, set()).add((path.name, owner))
-    return sorted((fname, name) for fname, name in defs
-                  if not uses.get(name, set()) - {(fname, name)})
+                for name in names:
+                    uses.setdefault(name, set()).add((where, owner))
+
+    def used(fname, name):
+        return any(where is None or (where == fname and user != name)
+                   for where, user in uses.get(name, ()))
+
+    return sorted(d for d in defs if not used(*d))
 
 
 def test_every_library_definition_has_a_library_user():
@@ -266,9 +272,17 @@ def test_lint_finds_definitions_only_tests_could_use(tmp_path):
         "def exported():\n    return helper()\n"
         "def helper():\n    return 1\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
-        "class Unused:\n    pass\n", encoding="utf-8")
+        "class Unused:\n    pass\n"
+        "def shadowed(m):\n    return 0\n", encoding="utf-8")
+    # a same-named local variable and attribute in another module are not uses
+    (tmp_path / "other.py").write_text(
+        "from .mod import exported\n"
+        "def g(x):\n    shadowed = x.shadowed\n    return exported(shadowed)\n",
+        encoding="utf-8")
     assert _unreferenced_definitions(tmp_path) == [("mod.py", "Unused"),
-                                                   ("mod.py", "recursive")]
+                                                   ("mod.py", "recursive"),
+                                                   ("mod.py", "shadowed"),
+                                                   ("other.py", "g")]
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +292,16 @@ def test_lint_finds_definitions_only_tests_could_use(tmp_path):
 def test_cli_failed_check_exits_3(monkeypatch, tmp_path, capsys):
     path = tmp_path / "a.mat"
     path.write_text("FIELD Q\nROWS 2 COLS 2\n1 2\n3 4\n", encoding="utf-8")
-    real = cli.smith_form
+    real = smith._smith_reduce
 
-    def wrong_u(m):
-        u, s, v = real(m)
-        return u * 2, s, v
+    def wrong_u(m, track):
+        a, u, v = real(m, track)
+        return a, [[e + e for e in row] for row in u] if track else u, v
 
-    monkeypatch.setattr(cli, "smith_form", wrong_u)
+    monkeypatch.setattr(smith, "_smith_reduce", wrong_u)
     assert cli.run(["smith", str(path)]) == cli.EXIT_VERIFY == 3
     err = capsys.readouterr().err
-    assert err == "internal check failed: smith identity U (xI - A) V = S fails\n"
+    assert err == "internal check failed: Smith reduction identity U M V = S violated\n"
 
 
 @pytest.mark.parametrize("command", ["rcf", "primary", "jordan", "similar"])
@@ -313,11 +327,12 @@ def test_cli_tampered_generator_exits_3(monkeypatch, tmp_path, capsys, command):
 _WRONG_U_CLI_SCRIPT = """
 import sys
 import canonforms.cli as cli
-real = cli.smith_form
-def wrong(m):
-    u, s, v = real(m)
-    return u * 2, s, v
-cli.smith_form = wrong
+import canonforms.smith as smith
+real = smith._smith_reduce
+def wrong(m, track):
+    a, u, v = real(m, track)
+    return a, [[e + e for e in row] for row in u] if track else u, v
+smith._smith_reduce = wrong
 print("debug", __debug__)
 print("exit", cli.run(sys.argv[1:]))
 """
@@ -334,5 +349,5 @@ def test_cli_failed_check_exits_3_under_python_O(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["debug False", "exit 3"]
-    assert proc.stderr == ("internal check failed: smith identity "
-                           "U (xI - A) V = S fails\n")
+    assert proc.stderr == ("internal check failed: Smith reduction identity "
+                           "U M V = S violated\n")
