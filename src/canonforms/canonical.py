@@ -5,26 +5,33 @@ the primary form (one hypercompanion block per elementary divisor), the
 Jordan form when the characteristic polynomial splits, and a similarity
 decision with verified witness transforms.
 
-One engine builds every transform over the base field from the one Smith
-reduction U (xI - A) V = S that the invariant ledger also reads: column k of
-U^{-1}, which is column k of (xI - A) V divided by d_k, has a value at A
-that generates a cyclic summand with minimal polynomial d_k.  Krylov chains
-from these generators (times (d_k / base^e)(A) for an elementary divisor
-base^e) are the columns of the rational, primary and Jordan transforms, and
-``similar`` composes two of them as T_A T_B^{-1}.  Every transform is
-checked as A T = T F with det T != 0 by explicit raises; no check inverts,
-and A T = T F is decided by one packed-integer product per side
+One engine builds every transform over the base field, on Jordan's route:
+the characteristic polynomial (by Hessenberg reduction) is factored once,
+and for each irreducible base p of degree d the nested kernels
+K_j = ker p(A)^j count its blocks (``smith._nested_kernels``).  At each level
+e, largest first, a generator z is picked in K_e outside the span of
+K_(e-1), p(A) K_(e+1) and the orbits z, A z, ..., A^(d-1) z of the picks
+already made at that level, so the picks stay independent over F[x]/(p).
+Krylov chains from these generators are the columns of the primary and
+Jordan transforms; the generator of an invariant factor d_k is the sum of
+its primary generators, whose orders are coprime, and ``similar`` composes
+two rational transforms as T_A T_B^{-1}.  Every transform is checked as
+A T = T F with det T != 0 by explicit raises; no check inverts, and
+A T = T F is decided by one packed-integer product per side
 (``matrix._products_agree``).
 
-Each public form is a private builder applied to A's reduction (and ledger),
-so ``canonforms verify`` reduces xI - A once for all three forms; the Jordan
-form is the primary form read with linear bases.  What the Smith diagonal
-alone decides (a Jordan refusal, a NOT SIMILAR answer) is decided before
-any generator is built.
+No call here reduces anything over F[x]: the Smith form of xI - A is left
+to the ``smith`` and ``verify`` commands and to the pencil divisors.  What
+the characteristic polynomial decides (a Jordan refusal, a NOT SIMILAR
+answer) is decided before any kernel is computed, and what the nullities
+decide before any generator is picked.  The Jordan form is the primary form
+read with linear bases.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -33,11 +40,12 @@ from .algebra import (
     DomainError,
     Poly,
     VerificationError,
+    factor,
     scalar_is_zero,
     scalar_key,
 )
 from .matrix import Mat, ShapeError, _products_agree, det, mat_inverse
-from .smith import DivisorData, _ledger, char_matrix, smith_form
+from .smith import _char_poly, _nested_kernels
 
 
 class SplitFieldRequired(ArithmeticError):
@@ -143,36 +151,77 @@ def hypercompanion(base: Poly, exponent: int) -> Mat:
 
 
 # ---------------------------------------------------------------------------
-# Transforms from the one Smith reduction of xI - A
+# Transforms from nested kernels over the base field
 
 
-def _reduce(a: Mat):
-    """(xI - A, S, V) from the one Smith reduction U (xI - A) V = S."""
-    x_mat = char_matrix(a)
-    return (x_mat, *smith_form(x_mat)[1:])
+def _kernels(a: Mat, terms):
+    """(base, base(A), [K_1, ..., K_m], block exponents) for each factor
+    term of A's characteristic polynomial."""
+    return [(t.base, *_nested_kernels(a, t.base, t.exponent)) for t in terms]
 
 
-def _diagonal(s: Mat) -> tuple:
-    return tuple(s.entries[k][k] for k in range(s.rows))
+def _column(dom, v) -> Mat:
+    return Mat._raw(dom, tuple((x,) for x in v))
 
 
-def _summands(x_mat: Mat, s: Mat, v: Mat):
-    """((d_k, u_k) for each d_k of degree >= 1) from U (xI - A) V = S, where
-    u_k = column k of U^{-1} = column k of (xI - A) V divided by d_k."""
-    n = s.rows
-    return tuple(
-        (d, tuple(e.exact_div(d) for e in (x_mat * v.submatrix(range(n), (k,))).col(0)))
-        for k, d in enumerate(_diagonal(s)) if d.degree >= 1)
+def _extend(basis: list, v, dom) -> bool:
+    """Add v to the echelon basis [(pivot, row)] and return True, unless v
+    lies in its span."""
+    for piv, row in basis:
+        c = v[piv]
+        if not scalar_is_zero(c):
+            v = [x - c * y for x, y in zip(v, row)]
+    piv = next((i for i, x in enumerate(v) if not scalar_is_zero(x)), None)
+    if piv is None:
+        return False
+    inv = dom.one / v[piv]
+    basis.append((piv, [x * inv for x in v]))
+    return True
 
 
-def _generator(a: Mat, u: Sequence[Poly], g: Poly) -> Mat:
-    """The column (g u)(A), powers of A on the left: for u = u_k it
-    generates a cyclic summand with minimal polynomial d_k / g."""
-    polys = [g * p for p in u]
-    acc = Mat.zero(a.domain, a.rows, 1)
-    for j in range(max(p.degree for p in polys), -1, -1):
-        acc = a * acc + Mat._raw(a.domain, tuple((p.coeff(j),) for p in polys))
-    return acc
+def _generators(a: Mat, base: Poly, m: Mat, kernels, exps):
+    """[(e, z)] for the block exponents e of ``base`` (largest first): z
+    lies in K_e = ker M^e, M = base(A), and spans a cyclic summand with
+    minimal polynomial base^e; together the summands are A's base-primary
+    component.
+
+    At level e each pick avoids the span of K_(e-1), M K_(e+1) and the
+    orbits z, A z, ..., A^(d-1) z of the picks already made at that level.
+    That quotient is a vector space over F[x]/(base), and adding whole
+    orbits is what keeps the picks independent over it when d > 1."""
+    dom, d = a.domain, base.degree
+    need = Counter(exps)
+    picks = []
+    for e in range(len(kernels), 0, -1):
+        if not need[e]:
+            continue
+        span: list = []
+        for v in kernels[e - 2] if e > 1 else ():
+            _extend(span, v, dom)
+        for v in kernels[e] if e < len(kernels) else ():
+            _extend(span, (m * _column(dom, v)).col(0), dom)
+        found = 0
+        for v in kernels[e - 1]:
+            if found == need[e]:
+                break
+            if not _extend(span, v, dom):
+                continue
+            z = _column(dom, v)
+            picks.append((e, z))
+            found += 1
+            for _ in range(d - 1):
+                z = a * z
+                _extend(span, z.col(0), dom)
+        if found != need[e]:
+            raise VerificationError(
+                f"kernel generators of ({base.render(compact=True)})(A): "
+                f"{found} at level {e}, {need[e]} expected")
+    return picks
+
+
+def _primary(a: Mat, kernels):
+    """[(base, [(e, z)] largest e first)] from ``_kernels``."""
+    return [(base, _generators(a, base, m, ks, exps)) for base, m, ks, exps in kernels]
 
 
 def _krylov_transform(a: Mat, pieces) -> Mat:
@@ -211,22 +260,22 @@ def _assemble(kind: str, a: Mat, pieces, descriptors) -> CanonicalResult:
                            _checked(a, _krylov_transform(a, pieces), form), verified=True)
 
 
-def _rational_form(a: Mat, summands) -> CanonicalResult:
-    pieces = sorted(((d, 1, _generator(a, u, Poly.one(a.domain))) for d, u in summands),
-                    key=lambda p: _block_sort_key(p[0], p[0].degree))
+def _rational_form(a: Mat, primary) -> CanonicalResult:
+    # the invariant factor d_k, k-th from the last, is the product of every
+    # base^e with e its k-th largest exponent, and the generators of those
+    # coprime primary summands add up to a generator of d_k
+    pieces = []
+    for k in range(max(len(gens) for _, gens in primary)):
+        parts = [(base ** gens[k][0], gens[k][1]) for base, gens in primary if k < len(gens)]
+        pieces.append((functools.reduce(operator.mul, (f for f, _ in parts)), 1,
+                       functools.reduce(operator.add, (z for _, z in parts))))
+    pieces.sort(key=lambda p: _block_sort_key(p[0], p[0].degree))
     return _assemble("rational", a, pieces, [d for d, _, _ in pieces])
 
 
-def _primary_form(a: Mat, summands, dd: DivisorData) -> CanonicalResult:
-    # A base's exponent never falls along d_1 | ... | d_n, so its exponents,
-    # largest first, belong to the nontrivial d_k from the last one back; the
-    # generator of base^e in d_k is the column ((d_k / base^e) u_k)(A).
-    seen, keyed = Counter(), []
-    for base, e in dd.elementary_divisors:
-        keyed.append((_block_sort_key(base, e), len(summands) - 1 - seen[base], base, e))
-        seen[base] += 1
-    pieces = [(base, e, _generator(a, summands[k][1], summands[k][0].exact_div(base ** e)))
-              for _, k, base, e in sorted(keyed, key=lambda t: t[:2])]
+def _primary_form(a: Mat, primary) -> CanonicalResult:
+    pieces = sorted(((base, e, z) for base, gens in primary for e, z in gens),
+                    key=lambda p: _block_sort_key(p[0], p[1]))
     return _assemble("primary", a, pieces, [(base, e) for base, e, _ in pieces])
 
 
@@ -249,9 +298,12 @@ def _jordan_form(prim: CanonicalResult) -> CanonicalResult:
 
 def _witness(a: Mat, rcf_a: CanonicalResult, b: Mat, rcf_b: CanonicalResult) -> Mat:
     """Checked T = T_A T_B^{-1} with A T = T B, for A's and B's transforms
-    to one rational form: the value at B of V_A V_B^{-1} (powers of B on the
-    right), as both send (u_k of B)(B) to (u_k of A)(A)."""
+    to one rational form."""
     return _checked(a, rcf_a.transform * mat_inverse(rcf_b.transform), b)
+
+
+def _factors(a: Mat):
+    return factor(_char_poly(a))
 
 
 def rational_canonical_form(a: Mat) -> CanonicalResult:
@@ -259,7 +311,7 @@ def rational_canonical_form(a: Mat) -> CanonicalResult:
 
     Exists over the base field for every square matrix; no root extraction
     is involved."""
-    return _rational_form(a, _summands(*_reduce(a)))
+    return _rational_form(a, _primary(a, _kernels(a, _factors(a))))
 
 
 def primary_form(a: Mat) -> CanonicalResult:
@@ -267,8 +319,7 @@ def primary_form(a: Mat) -> CanonicalResult:
 
     For a linear irreducible base the block is the Jordan block, so this form
     refines the rational form without ever leaving the base field."""
-    smith = _reduce(a)
-    return _primary_form(a, _summands(*smith), _ledger(a, _diagonal(smith[1])))
+    return _primary_form(a, _primary(a, _kernels(a, _factors(a))))
 
 
 def jordan_form(a: Mat) -> CanonicalResult:
@@ -277,12 +328,12 @@ def jordan_form(a: Mat) -> CanonicalResult:
     split into linear factors over the base field.
 
     Raises SplitFieldRequired carrying the offending irreducible factors
-    otherwise, decided from A's ledger before any transform is built;
-    primary_form is the base-field fallback."""
-    smith = _reduce(a)
-    dd = _ledger(a, _diagonal(smith[1]))
-    _require_split(dd.elementary_divisors)
-    return _jordan_form(_primary_form(a, _summands(*smith), dd))
+    otherwise, decided from the factors of the characteristic polynomial
+    before any kernel is computed; primary_form is the base-field
+    fallback."""
+    terms = _factors(a)
+    _require_split([(t.base, t.exponent) for t in terms])
+    return _jordan_form(_primary_form(a, _primary(a, _kernels(a, terms))))
 
 
 def eldiv_to_jordan(divisors: Sequence[Tuple[Poly, int]]) -> JordanStructure:
@@ -312,16 +363,20 @@ def similar(a: Mat, b: Mat) -> Tuple[bool, Optional[Mat]]:
     """Decide similarity; on success also return a witness T with
     inverse(T) * A * T == B, checked as A T = T B with det T != 0.
 
-    The decision compares the Smith diagonals of xI - A and xI - B, which
-    are the invariant factors, so nothing is factored and no generator is
-    built for a NOT SIMILAR answer; the witness is T_A T_B^{-1} for the
+    Unequal characteristic polynomials answer NOT SIMILAR before any kernel
+    is computed; otherwise the block exponents from the nullities decide,
+    before any generator is picked.  The witness is T_A T_B^{-1} for the
     transforms of A and B to their rational form."""
     if a.domain != b.domain:
         raise DomainError("similarity needs a common base field")
     if not a.is_square() or not b.is_square() or a.rows != b.rows:
         raise ShapeError("similarity needs square matrices of equal size")
-    a_smith, b_smith = _reduce(a), _reduce(b)
-    if _diagonal(a_smith[1]) != _diagonal(b_smith[1]):
+    chi = _char_poly(a)
+    if chi != _char_poly(b):
         return False, None
-    return True, _witness(a, _rational_form(a, _summands(*a_smith)),
-                          b, _rational_form(b, _summands(*b_smith)))
+    terms = factor(chi)
+    a_kernels, b_kernels = _kernels(a, terms), _kernels(b, terms)
+    if [exps for *_, exps in a_kernels] != [exps for *_, exps in b_kernels]:
+        return False, None
+    return True, _witness(a, _rational_form(a, _primary(a, a_kernels)),
+                          b, _rational_form(b, _primary(b, b_kernels)))

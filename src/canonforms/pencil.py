@@ -274,12 +274,12 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
 
     A joint parameter shift makes the leading members of both pencils
     invertible; each shifted pencil is then (I, A) up to a left factor, and
-    one similarity decision of the two A's (one Smith reduction each)
-    decides and yields the witness.  Only when no shift exists does the
-    decision compare divisor multisets: singular input is refused there with
-    an explicit diagnosis rather than a guess, and over a field with at most
-    2 * size elements, whose points the divisors can exhaust, the (still
-    sound) decision comes back with witness None.
+    one similarity decision of the two A's (by nested kernels, with no
+    Smith reduction) decides and yields the witness.  Only when no shift
+    exists does the decision compare divisor multisets: singular input is
+    refused there with an explicit diagnosis rather than a guess, and over a
+    field with at most 2 * size elements, whose points the divisors can
+    exhaust, the (still sound) decision comes back with witness None.
     """
     if pc1.domain != pc2.domain:
         raise DomainError("pencil equivalence needs a common field")

@@ -1,6 +1,6 @@
-"""Smith normal form and invariant ledgers over Z and F[x].
+"""Smith normal form over Z and F[x], and invariant ledgers.
 
-The production path is gcd-driven row/column elimination with the pivot
+The Smith reduction is gcd-driven row/column elimination with the pivot
 chosen as the entry of minimal Euclidean size (absolute value over Z, degree
 over F[x]), ties broken by lowest (row, column).  The gcd-of-minors chain is
 kept as an independent, combinatorial oracle for cross-checking.
@@ -8,12 +8,20 @@ kept as an independent, combinatorial oracle for cross-checking.
 ``smith_form`` re-checks U M V = S without multiplying polynomial matrices:
 ``matrix._products_agree`` packs each factor at x = 2^K and decides the
 identity as one exact product of integer matrices.
+
+The invariant ledger of a square matrix comes two ways: Kronecker's, from
+the Smith diagonal of xI - A (``_ledger``, which ``verify`` runs), and
+Jordan's, from the nullities of p(A)^j over the base field for each
+irreducible factor p of the characteristic polynomial (``_nested_kernels``),
+which ``divisor_data`` and every canonical form take.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -34,6 +42,7 @@ from .matrix import (
     _products_agree,
     det,
     k_minors,
+    nullspace,
 )
 
 
@@ -405,10 +414,10 @@ def _int_factor(n: int) -> dict:
 class DivisorData:
     """Invariant ledger of a square matrix A over a field.
 
-    Built from the Smith form of xI - A: the gcd chain D_1 | ... | D_n, the
-    invariant factors i_k = D_k / D_{k-1}, and the multiset of elementary
-    divisors (irreducible base, exponent), deterministically sorted; every
-    base is irreducible over the matrix's field.
+    The gcd chain D_1 | ... | D_n of xI - A, the invariant factors
+    i_k = D_k / D_{k-1}, and the multiset of elementary divisors
+    (irreducible base, exponent), deterministically sorted; every base is
+    irreducible over the matrix's field.
     """
 
     domain: object
@@ -438,37 +447,142 @@ def char_matrix(a: Mat) -> Mat:
 def divisor_data(a: Mat) -> DivisorData:
     """Invariant factors and elementary divisors of a square matrix.
 
-    Runs the Smith reduction on xI - A; the rank is always n there, so the
-    chain has n entries, the trailing ones carrying the nontrivial factors.
+    Jordan's route, over the base field: the characteristic polynomial is
+    factored once, and for each irreducible base the nullities of
+    base(A)^j count its blocks (``_nested_kernels``).  No polynomial matrix
+    is built and nothing is reduced over F[x].
     """
     if not a.is_square():
         raise ShapeError("divisor data of a non-square matrix")
     if not a.domain.is_field:
         raise DomainError("divisor_data requires a field domain")
-    return _ledger(a, smith_diagonal(char_matrix(a)))
+    return _kernel_ledger(a, [(t.base, _nested_kernels(a, t.base, t.exponent)[2])
+                              for t in factor(_char_poly(a))])
 
 
 def _ledger(a: Mat, diag: Sequence[Poly]) -> DivisorData:
     """The invariant ledger of A from the Smith diagonal of xI - A."""
     if any(d.is_zero() for d in diag):
         raise VerificationError("xI - A must have full rank")
+    return _divisor_data(a, diag, [(term.base, term.exponent)
+                                   for f in diag if f.degree >= 1
+                                   for term in factor(f)])
+
+
+def _kernel_ledger(a: Mat, exponents) -> DivisorData:
+    """The invariant ledger of A from the (base, block exponents, largest
+    first) of each irreducible factor of its characteristic polynomial:
+    the k-th invariant factor from the last is the product of every base
+    raised to its k-th largest exponent."""
+    width = max(len(exps) for _, exps in exponents)
+    top = [functools.reduce(operator.mul, (base ** exps[k] for base, exps in exponents
+                                           if k < len(exps)))
+           for k in reversed(range(width))]
+    return _divisor_data(a, [Poly.one(a.domain)] * (a.rows - width) + top,
+                         [(base, e) for base, exps in exponents for e in exps])
+
+
+def _divisor_data(a: Mat, diag: Sequence[Poly], eldivs) -> DivisorData:
     chain = []
     acc = Poly.one(a.domain)
     for d in diag:
         acc = acc * d
         chain.append(acc)
-    eldivs: List[Tuple[Poly, int]] = []
-    for f in diag:
-        if f.degree < 1:
-            continue
-        for term in factor(f):
-            eldivs.append((term.base, term.exponent))
-    eldivs.sort(key=lambda t: (t[0].sort_key(), -t[1]))
     return DivisorData(
         domain=a.domain,
         size=a.rows,
         rank=a.rows,
         gcd_chain=tuple(chain),
         invariant_factors=tuple(diag),
-        elementary_divisors=tuple(eldivs),
+        elementary_divisors=tuple(sorted(eldivs, key=lambda t: (t[0].sort_key(), -t[1]))),
     )
+
+
+# ---------------------------------------------------------------------------
+# Jordan's route: nested kernels over the base field
+
+
+def _char_poly(a: Mat) -> Poly:
+    """det(xI - A), from an upper Hessenberg matrix similar to A.
+
+    Gaussian similarity steps (row_i -= u row_(j+1), then column_(j+1) +=
+    u column_i) clear each column below its subdiagonal; the determinant of
+    xI - H then follows column by column from H's entries (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.2.9).  O(n^3) operations in
+    A's field, and no polynomial matrix."""
+    dom, n = a.domain, a.rows
+    h = [list(row) for row in a.entries]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if not scalar_is_zero(h[i][j])), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = dom.one / h[j + 1][j]
+        for i in range(j + 2, n):
+            if scalar_is_zero(h[i][j]):
+                continue
+            u = h[i][j] * inv
+            h[i] = [x - u * y for x, y in zip(h[i], h[j + 1])]
+            for row in h:
+                row[j + 1] = row[j + 1] + u * row[i]
+    # p_(k+1) = (x - h_kk) p_k - sum_i (h_(k-i),k h_(k-i+1),(k-i) ... h_k,(k-1)) p_(k-i)
+    polys = [[dom.one]]
+    for k in range(n):
+        cur = [dom.zero] + polys[k]
+        for i, c in enumerate(polys[k]):
+            cur[i] = cur[i] - h[k][k] * c
+        t = dom.one
+        for i in range(1, k + 1):
+            t = t * h[k - i + 1][k - i]
+            if scalar_is_zero(t):
+                break
+            c = t * h[k - i][k]
+            for idx, coef in enumerate(polys[k - i]):
+                cur[idx] = cur[idx] - c * coef
+        polys.append(cur)
+    return Poly(dom, polys[n])
+
+
+def _poly_at(a: Mat, f: Poly) -> Mat:
+    """f(A) for a monic f, by Horner's rule: deg f - 1 matrix products."""
+    acc = a
+    for k in range(f.degree - 1, -1, -1):
+        c = f.coeff(k)
+        acc = Mat._raw(a.domain, tuple(tuple(e + c if i == j else e for j, e in enumerate(row))
+                                       for i, row in enumerate(acc.entries)))
+        if k:
+            acc = acc * a
+    return acc
+
+
+def _nested_kernels(a: Mat, base: Poly, mult: int):
+    """(M, [K_1, ..., K_m], block exponents largest first) for M = base(A),
+    where base is irreducible of degree d and multiplicity mult in the
+    characteristic polynomial, and K_j = ker M^j as a nullspace basis,
+    taken until dim K_m = mult d.
+
+    The nullity steps (dim K_j - dim K_(j-1)) / d count the blocks of size
+    at least j.  They must be whole, nonincreasing and positive, and sum to
+    mult; otherwise VerificationError is raised (an explicit raise, so the
+    check also holds under ``python -O``)."""
+    d, full = base.degree, mult * base.degree
+    m = _poly_at(a, base)
+    power, kernels = m, [nullspace(m)]
+    while len(kernels[-1]) < full and len(kernels) < mult:
+        power = power * m
+        kernels.append(nullspace(power))
+    dims = [0] + [len(k) for k in kernels]
+    steps = [y - x for x, y in zip(dims, dims[1:])]
+    if (dims[-1] != full or any(s <= 0 or s % d for s in steps)
+            or any(s < t for s, t in zip(steps, steps[1:]))):
+        raise VerificationError(
+            f"kernel counts of ({base.render(compact=True)})(A)^j: nullities "
+            f"{dims[1:]} disagree with multiplicity {mult} in the "
+            f"characteristic polynomial")
+    at_least = [s // d for s in steps] + [0]
+    exps = [e for e in range(len(kernels), 0, -1)
+            for _ in range(at_least[e - 1] - at_least[e])]
+    return m, kernels, exps

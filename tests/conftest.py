@@ -3,12 +3,15 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from canonforms.algebra import QQ, DomainError, IntegerRing, Poly, PrimeField, scalar_is_zero
+from canonforms.canonical import _block_sort_key, _checked, _krylov_transform, hypercompanion
 from canonforms.matrix import Mat, PolynomialRing, ShapeError, SingularMatrixError, det
+from canonforms.smith import _ledger, char_matrix, smith_form
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -119,18 +122,52 @@ def unimodular_inverse(m: Mat) -> Mat:
     raise DomainError("unimodular_inverse expects Z or F[x] entries")
 
 
-def _right_value(q: Mat, b: Mat) -> Mat:
-    """Evaluate a matrix polynomial at B with the powers on the right
-    (Horner's rule on its constant-matrix coefficients).  With
-    q = V_A * unimodular_inverse(V_B) from the Smith reductions of xI - A and
-    xI - B this is the old transform route: T with inverse(T) A T = B."""
-    base = q.domain.base
-    deg = max(e.degree for row in q.entries for e in row)
-    acc = None
-    for k in range(max(deg, 0), -1, -1):
-        coeff = Mat(base, ((e.coeff(k) for e in row) for row in q.entries))
-        acc = coeff if acc is None else acc * b + coeff
+# The Smith-route transform engine, kept as the oracle of the kernel route:
+# one tracked reduction U (xI - A) V = S, where column k of U^{-1} (column k
+# of (xI - A) V divided by d_k) has a value at A that generates a cyclic
+# summand with minimal polynomial d_k.
+
+
+def smith_summands(a: Mat):
+    """((d_k, u_k) for each d_k of degree >= 1) from U (xI - A) V = S."""
+    x_mat = char_matrix(a)
+    _, s, v = smith_form(x_mat)
+    n = s.rows
+    return tuple(
+        (s.entries[k][k],
+         tuple(e.exact_div(s.entries[k][k]) for e in (x_mat * v.submatrix(range(n), (k,))).col(0)))
+        for k in range(n) if s.entries[k][k].degree >= 1)
+
+
+def smith_generator(a: Mat, u, g: Poly) -> Mat:
+    """The column (g u)(A), powers of A on the left: for u = u_k it
+    generates a cyclic summand with minimal polynomial d_k / g."""
+    polys = [g * p for p in u]
+    acc = Mat.zero(a.domain, a.rows, 1)
+    for j in range(max(p.degree for p in polys), -1, -1):
+        acc = a * acc + Mat(a.domain, ((p.coeff(j),) for p in polys))
     return acc
+
+
+def smith_route_form(a: Mat, kind: str):
+    """(F, T) for kind "rational" or "primary" through the Smith route; the
+    Jordan transform is the primary one."""
+    summands = smith_summands(a)
+    if kind == "rational":
+        pieces = sorted(((d, 1, smith_generator(a, u, Poly.one(a.domain))) for d, u in summands),
+                        key=lambda p: _block_sort_key(p[0], p[0].degree))
+    else:
+        # a base's exponents, largest first, belong to the nontrivial d_k
+        # from the last one back
+        seen, keyed = Counter(), []
+        for base, e in _ledger(a, [d for d, _ in summands]).elementary_divisors:
+            keyed.append((_block_sort_key(base, e), len(summands) - 1 - seen[base], base, e))
+            seen[base] += 1
+        pieces = [(base, e, smith_generator(a, summands[k][1],
+                                            summands[k][0].exact_div(base ** e)))
+                  for _, k, base, e in sorted(keyed, key=lambda t: t[:2])]
+    form = Mat.block_diagonal(a.domain, [hypercompanion(b, e) for b, e, _ in pieces])
+    return form, _checked(a, _krylov_transform(a, pieces), form)
 
 
 def chain3():

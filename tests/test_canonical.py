@@ -236,12 +236,13 @@ def test_jordan_split_field_required():
 
 
 def test_jordan_refusal_is_decided_before_any_transform(monkeypatch):
-    # the ledger alone decides the refusal: no Krylov chain, det T or
-    # A T = T F check runs, and the CLI report stays byte-identical
+    # the factors of the characteristic polynomial alone decide the refusal:
+    # no kernel, Krylov chain, det T or A T = T F check runs, and the CLI
+    # report stays byte-identical
     path = GOLDEN / "gf7_nonsplit4.mat"
     calls = []
-    monkeypatch.setattr(canonical, "_krylov_transform",
-                        lambda a, pieces: calls.append(pieces))
+    monkeypatch.setattr(canonical, "_nested_kernels",
+                        lambda a, base, mult: calls.append(base))
     with pytest.raises(SplitFieldRequired) as exc:
         jordan_form(parse_matrix(path.read_text(encoding="utf-8")))
     y = Poly.x(GF(7))
@@ -455,17 +456,19 @@ def test_canonical_forms_preserve_trace_det_charpoly(a_chain3):
 
 
 def test_similar_builds_no_generator_for_a_not_similar_pair(monkeypatch):
-    # the Smith diagonals decide NOT SIMILAR before any column of U^{-1}
-    real, calls = canonical._summands, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(canonical, "_summands", counted)
+    # unequal characteristic polynomials decide NOT SIMILAR before any
+    # kernel; equal ones with unequal nullities before any generator
+    kernels, generators = [], []
+    real_kernels, real_generators = canonical._nested_kernels, canonical._generators
+    monkeypatch.setattr(canonical, "_nested_kernels", lambda *args: (
+        kernels.append(args) or real_kernels(*args)))
+    monkeypatch.setattr(canonical, "_generators", lambda *args: (
+        generators.append(args) or real_generators(*args)))
     a = jordan6(J6_CHAIN21)
+    assert similar(a, a + Mat.identity(QQ, 6)) == (False, None)
+    assert kernels == [] and generators == []
     assert similar(a, jordan6(J6_CHAIN3)) == (False, None)
     assert similar(a, jordan6(J6_SEMISIMPLE)) == (False, None)
-    assert calls == []
+    assert kernels and generators == []
     ok, t = similar(a, a)
-    assert ok and t is not None and len(calls) == 2
+    assert ok and t is not None and len(generators) == 2 * 3   # three bases each

@@ -1,0 +1,161 @@
+"""Jordan's route: the characteristic polynomial by Hessenberg reduction, the
+block counts from nested kernels, and generators over F[x]/(p) for a base p
+of degree d > 1.
+
+The ledger from the nullities must equal Kronecker's ledger from the Smith
+diagonal of xI - A.  A base of degree d > 1 is where a generator pick can go
+wrong: z and A z are independent over the field but not over F[x]/(p), so
+each pick must add its whole orbit z, A z, ..., A^(d-1) z to the span the
+next pick avoids.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import canonforms.canonical as canonical
+from canonforms.algebra import GF, Poly, QQ, VerificationError, scalar_is_zero
+from canonforms.canonical import (
+    companion,
+    hypercompanion,
+    jordan_block,
+    primary_form,
+    rational_canonical_form,
+    similar,
+)
+from canonforms.matrix import Mat, det, mat_inverse
+from canonforms.smith import (
+    _char_poly,
+    _ledger,
+    _nested_kernels,
+    char_matrix,
+    divisor_data,
+    smith_diagonal,
+)
+
+FIELDS = {"Q": QQ, "GF2": GF(2), "GF3": GF(3), "GF101": GF(101)}
+
+
+def _conjugate(b: Mat, ops) -> Mat:
+    """P^{-1} B P for P the product of the row additions row_i += c row_j."""
+    dom, n = b.domain, b.rows
+    p = [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i != j:
+            p[i] = [x + dom.coerce(c) * y for x, y in zip(p[i], p[j])]
+    pm = Mat(dom, p)
+    return mat_inverse(pm) * b * pm
+
+
+def _verified(a: Mat, res) -> bool:
+    t = res.transform
+    return not scalar_is_zero(det(t)) and a * t == t * res.matrix
+
+
+@st.composite
+def block_matrices(draw, dom):
+    """(A, B): B block diagonal of at most 6 rows, drawn from Jordan blocks,
+    companion blocks of monic quadratics and cubics, and hypercompanion
+    blocks of squared quadratics, with repeats; A = P^{-1} B P."""
+    def poly(degree):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree))
+        return Poly(dom, [dom.coerce(c) for c in coeffs] + [dom.one])
+
+    blocks, n = [], 0
+    while n == 0 or (n < 6 and draw(st.booleans())):
+        kind = draw(st.sampled_from(("jordan", "companion", "hyper", "repeat")))
+        if kind == "repeat" and blocks and blocks[-1].rows <= 6 - n:
+            block = blocks[-1]
+        elif kind == "companion" and n <= 4:
+            block = companion(poly(draw(st.integers(2, min(3, 6 - n)))))
+        elif kind == "hyper" and n <= 2:
+            block = hypercompanion(poly(2), 2)
+        else:
+            block = jordan_block(dom, draw(st.integers(-2, 2)), draw(st.integers(1, 6 - n)))
+        blocks.append(block)
+        n += block.rows
+    b = Mat.block_diagonal(dom, blocks)
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.sampled_from((-2, -1, 1, 2))), max_size=3 * n))
+    return _conjugate(b, ops), b
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_kernel_ledger_equals_smith_ledger(field):
+    @settings(max_examples=40, deadline=None)
+    @given(block_matrices(FIELDS[field]))
+    def check(ab):
+        a, b = ab
+        assert _char_poly(a) == det(char_matrix(a))
+        ledger = divisor_data(a)
+        assert ledger == _ledger(a, smith_diagonal(char_matrix(a)))
+        assert ledger == divisor_data(b)
+
+    check()
+
+
+def test_char_poly_of_small_and_zero_subdiagonal_matrices():
+    for dom in (QQ, GF(2)):
+        x = Poly.x(dom)
+        assert _char_poly(Mat(dom, [[1]])) == x - 1
+        assert _char_poly(Mat.zero(dom, 3, 3)) == x ** 3
+        # a zero first column below the diagonal leaves nothing to pivot
+        a = Mat(dom, [[1, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+        assert _char_poly(a) == det(char_matrix(a))
+
+
+# ---------------------------------------------------------------------------
+# the deg p > 1 pitfall
+
+def _pitfall_cases():
+    out = []
+    for dom in (QQ, GF(3)):
+        p = Poly(dom, [1, 0, 1])           # x^2 + 1, irreducible over Q and GF(3)
+        blocks = [hypercompanion(p, 2), companion(p), companion(p)]
+        out.append((dom, p, blocks, ((p, 2), (p, 1), (p, 1))))
+    f2 = GF(2)
+    p = Poly(f2, [1, 1, 1])                # x^2 + x + 1, irreducible over GF(2)
+    out.append((f2, p, [hypercompanion(p, 2), companion(p)], ((p, 2), (p, 1))))
+    return out
+
+
+PITFALL_OPS = ([], [(0, 4, 1), (5, 1, -1), (3, 6, 1), (7, 2, 1)],
+               [(i, (i + 1) % 6, 1) for i in range(6)] + [(2, 0, -1)])
+
+
+@pytest.mark.parametrize("dom,base,blocks,divisors", _pitfall_cases(),
+                         ids=["Q", "GF3", "GF2"])
+@pytest.mark.parametrize("ops", PITFALL_OPS, ids=["plain", "sparse", "cyclic"])
+def test_primary_form_of_repeated_nonlinear_base(dom, base, blocks, divisors, ops):
+    b = Mat.block_diagonal(dom, blocks)
+    a = _conjugate(b, [(i, j, c) for i, j, c in ops if max(i, j) < b.rows])
+    res = primary_form(a)
+    assert res.blocks == divisors
+    assert res.matrix == b
+    assert _verified(a, res)
+    rcf = rational_canonical_form(a)
+    assert rcf.blocks == tuple(sorted((base ** e for _, e in divisors),
+                                      key=lambda f: f.sort_key()))
+    assert _verified(a, rcf)
+    ok, t = similar(a, b)
+    assert ok and a * t == t * b
+
+
+def test_kernel_nullities_count_the_blocks():
+    dom = GF(3)
+    p = Poly(dom, [1, 0, 1])
+    a = Mat.block_diagonal(dom, [hypercompanion(p, 2), companion(p), companion(p)])
+    m, kernels, exps = _nested_kernels(a, p, 4)
+    assert m == a * a + Mat.identity(dom, 8)
+    assert [len(k) for k in kernels] == [6, 8]
+    assert exps == [2, 1, 1]
+
+
+def test_too_few_generators_raise():
+    # kernels that cannot hold the blocks asked for: the count check fires
+    dom = QQ
+    a = jordan_block(dom, 0, 2)
+    m, kernels, exps = _nested_kernels(a, Poly.x(dom), 2)
+    assert exps == [2]
+    with pytest.raises(VerificationError, match="kernel generators"):
+        canonical._generators(a, Poly.x(dom), m, kernels, [2, 2])

@@ -1,15 +1,14 @@
-"""The Krylov transforms against the old route through both reductions.
+"""The kernel-route transforms against the Smith route they replaced.
 
-Transforms used to be built as V_A * V_B^{-1} evaluated at B (powers of B on
-the right), from the Smith reductions of xI - A and xI - B.  That route is
-kept here as the oracle, with V_B^{-1} taken through the adjugate of
-``conftest``.  Both induce the module map sending column k of U_B^{-1} to
-column k of U_A^{-1}, so the similarity witness T_A T_B^{-1} must be the very
-same matrix; a form's own transform need not be, but both must satisfy
-A T = T F with det T != 0.
+Transforms used to come from the one tracked Smith reduction of xI - A
+(columns of U^{-1} evaluated at A); that engine is kept in ``conftest`` as
+the oracle.  The two routes pick different generators, so their transforms
+differ, but both must conjugate A to the identical form F (and the two
+similarity witnesses must both conjugate A to B), with det T != 0.  No form,
+similarity or shifted pencil decision reduces anything over F[x] any more.
 """
 
-from collections import Counter
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +27,10 @@ from canonforms.canonical import (
     similar,
 )
 from canonforms.matrix import Mat, det, mat_inverse
-from canonforms.smith import char_matrix, smith_form
+from canonforms.pencil import Pencil, pencil_equivalent
+from canonforms.smith import divisor_data
 
-from conftest import J6_CHAIN21, _right_value, jordan6, unimodular_inverse
+from conftest import J6_CHAIN21, jordan6, rand_invertible, smith_route_form
 
 FIELDS = {"Q": QQ, "GF101": GF(101)}
 
@@ -65,49 +65,21 @@ def conjugated_blocks(draw, dom):
     return mat_inverse(pm) * b * pm, b
 
 
-def _old_route(a, b):
-    _, _, va = smith_form(char_matrix(a))
-    _, _, vb = smith_form(char_matrix(b))
-    return _right_value(va * unimodular_inverse(vb), b)
-
-
 def _conjugates(a, t, f):
     return not scalar_is_zero(det(t)) and a * t == t * f
 
 
-def _block_columns(t, sizes):
-    cols = list(zip(*t.entries))
-    out, start = [], 0
-    for size in sizes:
-        out.append(tuple(cols[start:start + size]))
-        start += size
-    return out
-
-
-def _same_up_to_equal_blocks(t, old, factors):
-    """T and the oracle agree after permuting the column blocks of equal
-    consecutive companion blocks."""
-    sizes = [f.degree for f in factors]
-    new_blocks, old_blocks = _block_columns(t, sizes), _block_columns(old, sizes)
-    start = 0
-    while start < len(factors):
-        end = start
-        while end < len(factors) and factors[end] == factors[start]:
-            end += 1
-        if Counter(new_blocks[start:end]) != Counter(old_blocks[start:end]):
-            return False
-        start = end
-    return True
-
-
 @pytest.mark.parametrize("field", sorted(FIELDS))
-def test_similar_witness_equals_old_route(field):
+def test_new_and_old_similarity_witnesses_both_conjugate(field):
     @settings(max_examples=30, deadline=None)
     @given(conjugated_blocks(FIELDS[field]))
     def check(ab):
         a, b = ab
-        assert similar(a, b)[1] == _old_route(a, b)
-        assert similar(b, a)[1] == _old_route(b, a)
+        old = [smith_route_form(m, "rational")[1] for m in (a, b)]
+        ok, t = similar(a, b)
+        assert ok
+        assert _conjugates(a, t, b)
+        assert _conjugates(a, old[0] * mat_inverse(old[1]), b)
 
     check()
 
@@ -118,39 +90,43 @@ def test_new_and_old_form_transforms_both_conjugate(field):
     @given(conjugated_blocks(FIELDS[field]))
     def check(ab):
         a, _ = ab
-        for build in (rational_canonical_form, primary_form, jordan_form):
+        for build, kind in ((rational_canonical_form, "rational"), (primary_form, "primary"),
+                            (jordan_form, "primary")):
             try:
                 res = build(a)
             except SplitFieldRequired:
                 continue
-            old = _old_route(a, res.matrix)
+            form, old = smith_route_form(a, kind)
+            assert form == res.matrix
             assert _conjugates(a, res.transform, res.matrix)
-            assert _conjugates(a, old, res.matrix)
-            if build is rational_canonical_form:
-                assert _same_up_to_equal_blocks(res.transform, old, res.blocks)
+            assert _conjugates(a, old, form)
 
     check()
 
 
-def test_equal_block_check_accepts_swaps_and_rejects_other_changes():
-    one = Poly.linear(QQ, 1)
-    t = Mat(QQ, [[1, 2, 0], [3, 4, 5], [0, 6, 7]])
-    swapped = Mat(QQ, [[2, 1, 0], [4, 3, 5], [6, 0, 7]])
-    assert _same_up_to_equal_blocks(t, swapped, [one, one, Poly.linear(QQ, 2)])
-    assert not _same_up_to_equal_blocks(t, swapped,
-                                        [one, Poly.linear(QQ, 3), Poly.linear(QQ, 2)])
+def _shifted_pencils(a):
+    """(I, A) and a twist of it, which pencil_equivalent decides through
+    one similarity of its shifted members."""
+    pc = Pencil(Mat.identity(a.domain, a.rows), a)
+    return pc, pc.transform(rand_invertible(a.domain, a.rows, random.Random(3)),
+                            rand_invertible(a.domain, a.rows, random.Random(4)))
 
 
-@pytest.mark.parametrize("call,count", [
-    (rational_canonical_form, 1), (primary_form, 1), (jordan_form, 1),
-    (lambda a: similar(a, a.transpose()), 2),
-], ids=["rcf", "primary", "jordan", "similar"])
-def test_smith_reductions_per_call(monkeypatch, call, count):
+@pytest.mark.parametrize("call", [
+    rational_canonical_form, primary_form, jordan_form,
+    lambda a: similar(a, a.transpose()),
+    lambda a: pencil_equivalent(*_shifted_pencils(a)),
+    divisor_data,
+], ids=["rcf", "primary", "jordan", "similar", "pencil", "divisor_data"])
+def test_smith_reductions_per_call(monkeypatch, call):
     reductions = []
     for module in (canonical, smith):
-        real = module.smith_form
-        monkeypatch.setattr(module, "smith_form",
-                            lambda m, real=real: reductions.append(m) or real(m))
-    a = jordan6(J6_CHAIN21)
-    call(a)
-    assert len(reductions) == count
+        if hasattr(module, "smith_form"):
+            real = module.smith_form
+            monkeypatch.setattr(module, "smith_form",
+                                lambda m, real=real: reductions.append(m) or real(m))
+    real_reduce = smith._smith_reduce
+    monkeypatch.setattr(smith, "_smith_reduce", lambda m, track: (
+        reductions.append((m, track)) or real_reduce(m, track)))
+    call(jordan6(J6_CHAIN21))
+    assert reductions == []

@@ -136,6 +136,49 @@ def test_pencil_degree_check_survives_python_O():
                         "to n"), proc.stdout
 
 
+# the nested kernels with a nullspace that drops its last vector: the
+# kernel-count check must raise, also with assertions compiled out, and the
+# CLI must exit 3 with one line
+_SHORT_NULLSPACE_SCRIPT = """
+import sys
+import canonforms.cli as cli
+import canonforms.smith as smith
+from canonforms import QQ, Mat, VerificationError, divisor_data
+real = smith.nullspace
+smith.nullspace = lambda m: real(m)[:-1]
+print("debug", __debug__)
+try:
+    divisor_data(Mat(QQ, [[2, 1, 0], [0, 2, 0], [0, 0, 2]]))
+except VerificationError as exc:
+    print("raised", exc)
+else:
+    print("accepted short kernels")
+for command in ("eldiv", "rcf", "similar"):
+    files = [sys.argv[1]] * (2 if command == "similar" else 1)
+    print(command, "exit", cli.run([command, *files]))
+"""
+
+
+def test_kernel_count_check_survives_python_O(tmp_path):
+    path = tmp_path / "a.mat"
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 1\n0 2\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SHORT_NULLSPACE_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "raised kernel counts of (x-2)(A)^j: nullities [1, 2, 2] disagree with "
+        "multiplicity 3 in the characteristic polynomial",
+        "eldiv exit 3", "rcf exit 3", "similar exit 3"], proc.stdout
+    line = ("internal check failed: kernel counts of (x-1)(A)^j: nullities [0] "
+            "disagree with multiplicity 1 in the characteristic polynomial\n")
+    assert proc.stderr == line * 3
+
+
 _PENCIL = Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]]))
 
 
@@ -312,11 +355,11 @@ def test_cli_tampered_generator_exits_3(monkeypatch, tmp_path, capsys, command):
     path.write_text("FIELD Q\nROWS 2 COLS 2\n1 1\n0 2\n", encoding="utf-8")
     calls = []
 
-    def zero(a, u, g=None):
-        calls.append(u)
-        return Mat.zero(a.domain, a.rows, 1)
+    def zero(a, base, m, kernels, exps):
+        calls.append(base)
+        return [(e, Mat.zero(a.domain, a.rows, 1)) for e in exps]
 
-    monkeypatch.setattr(canonical, "_generator", zero)
+    monkeypatch.setattr(canonical, "_generators", zero)
     files = [str(path)] * (2 if command == "similar" else 1)
     assert cli.run([command, *files]) == cli.EXIT_VERIFY
     assert calls
