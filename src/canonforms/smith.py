@@ -464,9 +464,9 @@ def _ledger(a: Mat, diag: Sequence[Poly]) -> DivisorData:
     """The invariant ledger of A from the Smith diagonal of xI - A."""
     if any(d.is_zero() for d in diag):
         raise VerificationError("xI - A must have full rank")
-    return _divisor_data(a, diag, [(term.base, term.exponent)
-                                   for f in diag if f.degree >= 1
-                                   for term in factor(f)])
+    return _assemble_ledger(a, diag, [(term.base, term.exponent)
+                                      for f in diag if f.degree >= 1
+                                      for term in factor(f)])
 
 
 def _kernel_ledger(a: Mat, exponents) -> DivisorData:
@@ -478,21 +478,16 @@ def _kernel_ledger(a: Mat, exponents) -> DivisorData:
     top = [functools.reduce(operator.mul, (base ** exps[k] for base, exps in exponents
                                            if k < len(exps)))
            for k in reversed(range(width))]
-    return _divisor_data(a, [Poly.one(a.domain)] * (a.rows - width) + top,
+    return _assemble_ledger(a, [Poly.one(a.domain)] * (a.rows - width) + top,
                          [(base, e) for base, exps in exponents for e in exps])
 
 
-def _divisor_data(a: Mat, diag: Sequence[Poly], eldivs) -> DivisorData:
-    chain = []
-    acc = Poly.one(a.domain)
-    for d in diag:
-        acc = acc * d
-        chain.append(acc)
+def _assemble_ledger(a: Mat, diag: Sequence[Poly], eldivs) -> DivisorData:
     return DivisorData(
         domain=a.domain,
         size=a.rows,
         rank=a.rows,
-        gcd_chain=tuple(chain),
+        gcd_chain=tuple(itertools.accumulate(diag, operator.mul)),
         invariant_factors=tuple(diag),
         elementary_divisors=tuple(sorted(eldivs, key=lambda t: (t[0].sort_key(), -t[1]))),
     )
