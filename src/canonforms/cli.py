@@ -270,6 +270,7 @@ class _Report:
         self.invariants: dict = {}
         self.transforms: dict = {}
         self.verified = True
+        self.failed: Optional[str] = None   # the first failed check, if any
 
     def say(self, line: str = ""):
         self.lines.append(line)
@@ -570,12 +571,14 @@ def _cmd_kron_form(args) -> Tuple[int, _Report]:
     rep.invariants["sign"] = sign
     rep.transforms["M"] = _mat_json(m)
     rep.verified = sign != 0
+    if not rep.verified:
+        rep.failed = "det(uM + vM^T) matches the expected determinant"
     rep.say(f"elementary form {args.kind}, size {args.size}")
     rep.say("M =")
     rep.say(_mat_human(m))
     rep.say(f"det(uM + vM^T) = {got.render()}")
     rep.say(f"expected       = {expected.render()}   [{match}]")
-    return (EXIT_OK if sign != 0 else EXIT_INPUT), rep
+    return (EXIT_OK if rep.verified else EXIT_VERIFY), rep
 
 
 def _cmd_oscillate(args) -> Tuple[int, _Report]:
@@ -689,15 +692,15 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
                        divisor_data(conj).elementary_divisors
                        == dd.elementary_divisors))
 
-    all_ok = True
     for name, ok in checks:
         rep.say(f"{'PASS' if ok else 'FAIL'}  {name}")
-        all_ok = all_ok and ok
+    rep.failed = next((name for name, ok in checks if not ok), None)
+    all_ok = rep.failed is None
     rep.invariants["checks"] = [[name, bool(ok)] for name, ok in checks]
     rep.invariants["all_passed"] = all_ok
     rep.verified = all_ok
     rep.say(f"verify: {'all identities hold' if all_ok else 'FAILURES found'}")
-    return (EXIT_OK if all_ok else EXIT_INPUT), rep
+    return (EXIT_OK if all_ok else EXIT_VERIFY), rep
 
 
 def _random_unimodular(dom, n: int, rng: random.Random) -> Mat:
@@ -824,6 +827,8 @@ def run(argv: Optional[List[str]] = None, out=None) -> int:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     out.write(rep.emit(args.json, args.no_transform))
+    if code == EXIT_VERIFY:
+        print(f"internal check failed: {rep.failed}", file=sys.stderr)
     return code
 
 

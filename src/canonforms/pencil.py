@@ -181,9 +181,10 @@ def _pencil_divisors(pc: Pencil, fx: Poly) -> PencilInvariants:
     dom = pc.domain
     x_side = smith_diagonal(_linear_pencil(pc.p, pc.q))
     y_side = smith_diagonal(_linear_pencil(pc.q, pc.p))
+    # x -> 1/y carries x P + Q to (P + y Q) / y, so both sides have one rank
     rank = sum(1 for d in x_side if not d.is_zero())
-    rank_y = sum(1 for d in y_side if not d.is_zero())
-    rank = max(rank, rank_y)
+    if sum(1 for d in y_side if not d.is_zero()) != rank:
+        raise VerificationError("x P + Q and P + y Q differ in rank")
     divisors: List[Tuple[object, int]] = []
     for d in x_side:
         if d.is_zero() or d.degree < 1:
@@ -199,7 +200,7 @@ def _pencil_divisors(pc: Pencil, fx: Poly) -> PencilInvariants:
             inf_total += e
     divisors.sort(key=_divisor_key)
     degree_det = n - inf_total  # degree of det(x P + Q) for regular pencils
-    regular = rank == n and all(not d.is_zero() for d in x_side)
+    regular = rank == n
     inv = PencilInvariants(
         regular=regular,
         size=n,

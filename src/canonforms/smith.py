@@ -2,8 +2,14 @@
 
 The Smith reduction is gcd-driven row/column elimination with the pivot
 chosen as the entry of minimal Euclidean size (absolute value over Z, degree
-over F[x]), ties broken by lowest (row, column).  The gcd-of-minors chain is
+over F[x]), ties broken by lowest (row, column).  To track U and V it
+reduces M bordered by identities, [[M, I], [I]], so one set of row and
+column operations builds S, U and V together.  The gcd-of-minors chain is
 kept as an independent, combinatorial oracle for cross-checking.
+
+Z and F[x] differ only in ``_IntOps`` and ``_PolyOps`` (size, quotient,
+normalizing unit, divisibility, gcd, unit test, factoring, sort key), and
+``_ops_for`` is the one place that picks between them.
 
 ``smith_form`` re-checks U M V = S without multiplying polynomial matrices:
 ``matrix._products_agree`` packs each factor at x = 2^K and decides the
@@ -30,6 +36,7 @@ from .algebra import (
     IntegerRing,
     Poly,
     VerificationError,
+    ZZ,
     factor,
     poly_gcd,
     scalar_is_zero,
@@ -47,7 +54,7 @@ from .matrix import (
 
 
 class _IntOps:
-    """Euclidean scaffolding for Z."""
+    """Everything the Smith code needs to know about Z."""
 
     @staticmethod
     def size(a) -> int:
@@ -63,8 +70,8 @@ class _IntOps:
         return q
 
     @staticmethod
-    def canonical_unit(a):
-        """Unit u with a / u canonical (positive)."""
+    def unit(a):
+        """The unit u with u * a canonical (positive)."""
         return -1 if a < 0 else 1
 
     @staticmethod
@@ -72,15 +79,38 @@ class _IntOps:
         return b % a == 0
 
     @staticmethod
-    def exact_div(a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError("inexact division over Z")
-        return q
+    def gcd(a, b):
+        return math.gcd(a, b)
+
+    @staticmethod
+    def is_unit(a) -> bool:
+        return abs(a) == 1
+
+    @staticmethod
+    def factor(c) -> dict:
+        """{prime: exponent} of |c| by trial division, refused above 10^12."""
+        n = abs(c)
+        if n > 10 ** 12:
+            raise DomainError("integer chain entries above 10^12 are refused "
+                              "(trial division)")
+        out: dict = {}
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1 if d == 2 else 2
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    @staticmethod
+    def sort_key(base):
+        return base
 
 
 class _PolyOps:
-    """Euclidean scaffolding for F[x]."""
+    """Everything the Smith code needs to know about F[x]."""
 
     def __init__(self, ring: PolynomialRing):
         self.ring = ring
@@ -93,24 +123,39 @@ class _PolyOps:
     def quo(a: Poly, b: Poly) -> Poly:
         return a // b
 
-    def canonical_unit(self, a: Poly) -> Poly:
-        return Poly.constant(self.ring.base, a.leading())
+    def unit(self, a: Poly) -> Poly:
+        """The unit u with u * a canonical (monic)."""
+        return Poly.constant(self.ring.base, self.ring.base.one / a.leading())
 
     @staticmethod
     def divides(a: Poly, b: Poly) -> bool:
         return (b % a).is_zero()
 
     @staticmethod
-    def exact_div(a: Poly, b: Poly) -> Poly:
-        return a.exact_div(b)
+    def gcd(a: Poly, b: Poly) -> Poly:
+        return poly_gcd(a, b)
+
+    @staticmethod
+    def is_unit(a: Poly) -> bool:
+        return a.degree == 0
+
+    @staticmethod
+    def factor(c: Poly) -> dict:
+        """{monic irreducible base: exponent} of c."""
+        return {t.base: t.exponent for t in factor(c)}
+
+    @staticmethod
+    def sort_key(base: Poly):
+        return base.sort_key()
 
 
 def _ops_for(domain):
+    """The one place that tells Z from F[x]."""
     if isinstance(domain, IntegerRing):
         return _IntOps()
     if isinstance(domain, PolynomialRing) and domain.base.is_field:
         return _PolyOps(domain)
-    raise DomainError(f"Smith reduction needs a Euclidean domain, got {domain}")
+    raise DomainError(f"needs a Euclidean domain (Z or F[x] over a field), got {domain}")
 
 
 def smith_form(m: Mat) -> Tuple[Mat, Mat, Mat]:
@@ -132,71 +177,42 @@ def smith_form(m: Mat) -> Tuple[Mat, Mat, Mat]:
 
 
 def _smith_reduce(m: Mat, track: bool):
+    """(S, U, V) as lists of rows; U and V are None unless ``track``.
+
+    To track, the reduction runs on M bordered as [[M, I], [I]]: every row
+    operation on M's rows acts on the identity to their right, which becomes
+    U, and every column operation on M's columns acts on the identity
+    beneath, which becomes V.  Pivots are chosen in M's block alone, so the
+    diagonal does not depend on ``track``."""
     ops = _ops_for(m.domain)
     dom = m.domain
-    a = [list(row) for row in m.entries]
     nr, nc = m.rows, m.cols
-    def eye(k):
-        return [[dom.one if i == j else dom.zero for j in range(k)] for i in range(k)]
-    u, v = (eye(nr), eye(nc)) if track else (None, None)
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            if track:
-                u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            if track:
-                for row in v:
-                    row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):
-        # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if track:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_sub(i, j, q):
-        # col_i -= q * col_j
-        for row in a:
-            row[i] = row[i] - q * row[j]
-        if track:
-            for row in v:
-                row[i] = row[i] - q * row[j]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                e = a[i][j]
-                if scalar_is_zero(e):
-                    continue
-                key = (ops.size(e), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        return None if best is None else (best[1], best[2])
+    nu, nv = (nr, nc) if track else (0, 0)
+    a = [list(row) + [dom.one if j == i else dom.zero for j in range(nu)]
+         for i, row in enumerate(m.entries)]
+    a += [[dom.one if j == i else dom.zero for j in range(nc)] for i in range(nv)]
 
     t = 0
     while t < min(nr, nc):
-        # the minimal-size entry of the trailing block becomes the pivot;
-        # after every clearing pass any leftover remainder is strictly
-        # smaller, so re-selecting makes progress and curbs entry growth
-        loc = find_pivot(t)
-        if loc is None:
+        # the minimal-size entry of the trailing block becomes the pivot
+        # (ties to the lowest row, then column); after every clearing pass
+        # any leftover remainder is strictly smaller, so re-selecting makes
+        # progress and curbs entry growth
+        pivot = min(((ops.size(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc)
+                     if not scalar_is_zero(a[i][j])), default=None)
+        if pivot is None:
             break
-        swap_rows(t, loc[0])
-        swap_cols(t, loc[1])
+        _, pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
         clean = True
         for i in range(t + 1, nr):
             if scalar_is_zero(a[i][t]):
                 continue
             q = ops.quo(a[i][t], a[t][t])
             if not scalar_is_zero(q):
-                row_sub(i, t, q)
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
             if not scalar_is_zero(a[i][t]):
                 clean = False
         for j in range(t + 1, nc):
@@ -204,48 +220,31 @@ def _smith_reduce(m: Mat, track: bool):
                 continue
             q = ops.quo(a[t][j], a[t][t])
             if not scalar_is_zero(q):
-                col_sub(j, t, q)
+                for row in a:
+                    row[j] = row[j] - q * row[t]
             if not scalar_is_zero(a[t][j]):
                 clean = False
         if not clean:
             continue
         # enforce divisibility of the trailing block by the pivot
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if scalar_is_zero(a[i][j]):
-                    continue
-                if not ops.divides(a[t][t], a[i][j]):
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, nr) for j in range(t + 1, nc)
+                         if not scalar_is_zero(a[i][j])
+                         and not ops.divides(a[t][t], a[i][j])), None)
         if offender is not None:
             # fold the offending row into the pivot row and redo this step
             a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            if track:
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
             continue
         t += 1
 
     # normalize diagonal entries to canonical units (monic / positive)
     for k in range(min(nr, nc)):
-        d = a[k][k]
-        if scalar_is_zero(d):
-            continue
-        unit = ops.canonical_unit(d)
-        if unit != dom.one:
-            a[k][k] = ops.exact_div(d, unit)
-            if track:
-                u[k] = [_unit_div(x, unit, dom) for x in u[k]]
-    return a, u, v
-
-
-def _unit_div(x, unit, dom):
-    if isinstance(dom, IntegerRing):
-        return -x if unit == -1 else x
-    inv = dom.base.one / unit.coeff(0)
-    return x * Poly.constant(dom.base, inv)
+        if not scalar_is_zero(a[k][k]):
+            unit = ops.unit(a[k][k])
+            if unit != dom.one:
+                a[k] = [unit * x for x in a[k]]
+    top = a[:nr]
+    s, u, v = [row[:nc] for row in top], [row[nc:] for row in top], a[nr:]
+    return (s, u, v) if track else (s, None, None)
 
 
 def _check_divisibility_chain(diag: Sequence, ops) -> None:
@@ -288,13 +287,7 @@ def gcd_minors_chain(m: Mat, cap: int = DEFAULT_MINOR_CAP) -> List:
         raise ShapeError("gcd-of-minors chain of a non-square matrix")
     if m.rows > cap:
         raise ShapeError(f"size {m.rows} above the minor-enumeration cap {cap}")
-    dom = m.domain
-    if isinstance(dom, IntegerRing):
-        gcd2, norm, is_unit = _int_gcd_tools()
-    elif isinstance(dom, PolynomialRing) and dom.base.is_field:
-        gcd2, norm, is_unit = _poly_gcd_tools()
-    else:
-        raise DomainError(f"gcd-of-minors needs Z or F[x], got {dom}")
+    ops = _ops_for(m.domain)
     chain = []
     n = m.rows
     for k in range(1, n + 1):
@@ -306,40 +299,31 @@ def gcd_minors_chain(m: Mat, cap: int = DEFAULT_MINOR_CAP) -> List:
             val = det(m.submatrix(idx, idx))
             if scalar_is_zero(val):
                 continue
-            acc = val if acc is None else gcd2(acc, val)
-            if is_unit(acc):
+            acc = val if acc is None else ops.gcd(acc, val)
+            if ops.is_unit(acc):
                 done = True
                 break
         if not done:
             for (rows, cols), val in k_minors(m, k):
                 if rows == cols or scalar_is_zero(val):
                     continue
-                acc = val if acc is None else gcd2(acc, val)
-                if is_unit(acc):
+                acc = val if acc is None else ops.gcd(acc, val)
+                if ops.is_unit(acc):
                     break
-        chain.append(dom.zero if acc is None else norm(acc))
+        chain.append(m.domain.zero if acc is None else ops.unit(acc) * acc)
     return chain
 
 
-def _int_gcd_tools():
-    return (lambda x, y: math.gcd(x, y),
-            lambda x: abs(x),
-            lambda x: abs(x) == 1)
-
-
-def _poly_gcd_tools():
-    return (poly_gcd,
-            lambda p: p.monic(),
-            lambda p: p.degree == 0)
-
-
 def elementary_divisors_from_chain(chain: Sequence) -> List[Tuple]:
-    """Elementary divisors from a gcd-of-minors (or invariant-factor) chain.
+    """Elementary divisors from a gcd-of-minors chain D_1 | D_2 | ... .
 
     For each irreducible factor the exponents along the chain are
     non-decreasing; successive differences give the elementary-divisor
-    exponents, zeros dropped.  The chain must satisfy D_k | D_{k+1} (leading
-    units ignored); a violated chain is rejected.
+    exponents, zeros dropped.  The chain must satisfy D_k | D_(k+1) (leading
+    units ignored); a violated chain is rejected with ValueError.  An
+    invariant-factor chain i_1 | i_2 | ... is not a gcd chain: read as one
+    it gives wrong divisors (for J_1(1) + J_2(1), [(x-1), (x-1)^2] gives
+    (x-1), (x-1) instead of (x-1)^2, (x-1)); pass its running products.
 
     Returns a sorted multiset of (irreducible base, exponent) pairs; over Z
     the bases are prime numbers.  Integers are factored by trial division,
@@ -349,60 +333,22 @@ def elementary_divisors_from_chain(chain: Sequence) -> List[Tuple]:
     items = [c for c in chain if not scalar_is_zero(c)]
     if not items:
         return []
-    if isinstance(items[0], Poly):
-        for a, b in zip(items, items[1:]):
-            if not (b % a).is_zero():
-                raise ValueError("chain violates divisibility")
-        exps: dict = {}
-        prev: dict = {}
-        for c in items:
-            cur = {t.base: t.exponent for t in factor(c)}
-            for base, e in cur.items():
-                step = e - prev.get(base, 0)
-                if step < 0:
-                    raise ValueError("chain violates divisibility")
-                if step > 0:
-                    exps.setdefault(base, []).append(step)
-            for base, e in prev.items():
-                if cur.get(base, 0) < e:
-                    raise ValueError("chain violates divisibility")
-            prev = cur
-        out = [(base, e) for base, steps in exps.items() for e in steps]
-        out.sort(key=lambda t: (t[0].sort_key(), -t[1]))
-        return out
-    # integer chain
-    if any(abs(c) > 10 ** 12 for c in items):
-        raise DomainError("integer chain entries above 10^12 are refused "
-                          "(trial division)")
+    ops = _ops_for(PolynomialRing(items[0].domain) if isinstance(items[0], Poly) else ZZ)
     for a, b in zip(items, items[1:]):
-        if b % a:
+        if not ops.divides(a, b):
             raise ValueError("chain violates divisibility")
-    exps = {}
-    prev = {}
+    exps: dict = {}
+    prev: dict = {}
     for c in items:
-        cur = _int_factor(abs(c))
+        cur = ops.factor(c)
+        if any(cur.get(base, 0) < e for base, e in prev.items()):
+            raise ValueError("chain violates divisibility")
         for base, e in cur.items():
-            step = e - prev.get(base, 0)
-            if step < 0:
-                raise ValueError("chain violates divisibility")
-            if step > 0:
-                exps.setdefault(base, []).append(step)
+            if e > prev.get(base, 0):
+                exps.setdefault(base, []).append(e - prev.get(base, 0))
         prev = cur
     out = [(base, e) for base, steps in exps.items() for e in steps]
-    out.sort(key=lambda t: (t[0], -t[1]))
-    return out
-
-
-def _int_factor(n: int) -> dict:
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    out.sort(key=lambda t: (ops.sort_key(t[0]), -t[1]))
     return out
 
 

@@ -104,6 +104,59 @@ def test_smith_randomized_contract(dom):
         assert_smith_contract(m)
 
 
+def _random_smith_input(rng, dom, rows, cols, rank):
+    """A rows x cols matrix over Z or GF(3)[x] of rank at most ``rank``."""
+    if dom is ZZ:
+        def entry():
+            return rng.randint(-6, 6)
+    else:
+        def entry():
+            return Poly(GF(3), [rng.randrange(3) for _ in range(rng.randint(0, 3))])
+    left = Mat(dom, [[entry() for _ in range(rank)] for _ in range(rows)])
+    right = Mat(dom, [[entry() for _ in range(cols)] for _ in range(rank)])
+    return left * right
+
+
+@pytest.mark.parametrize("dom", [ZZ, PolynomialRing(GF(3))], ids=["Z", "GF3[x]"])
+def test_smith_diagonal_equals_the_diagonal_of_smith_form(dom):
+    rng = random.Random(29)
+    ranks = set()
+    for _ in range(40):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = _random_smith_input(rng, dom, rows, cols, rng.randint(1, min(rows, cols)))
+        _, s, _ = smith_form(m)
+        diag = [s.entries[k][k] for k in range(min(rows, cols))]
+        assert smith_diagonal(m) == diag
+        ranks.add((rows == cols, sum(1 for d in diag if d) < min(rows, cols)))
+    # square and rectangular inputs, of full and of deficient rank
+    assert ranks == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# U, S and V over Z as the reduction first recorded them: a 3 x 3 of full
+# rank, a 3 x 4 of rank 2 and a 4 x 3 of rank 3 (the last two normalize a
+# negative pivot)
+_INTEGER_SMITH_GOLDEN = [
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+     [[1, 0, 0], [3, 1, 0], [1, 2, 1]],
+     [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+     [[1, 0, -2], [0, -1, 4], [0, 1, -3]]),
+    ([[1, 2, 3, 4], [2, 4, 6, 8], [3, 5, 7, 9]],
+     [[1, 0, 0], [3, 0, -1], [-2, 1, 0]],
+     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+     [[1, -2, 1, 2], [0, 1, -2, -3], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ([[0, -3, 6], [4, 0, -2], [7, 5, 1], [-2, 8, 3]],
+     [[0, 0, 1, 0], [0, 0, 3, -1], [17, 76, -34, 28], [104, 465, -216, 174]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+     [[0, -3, 7], [0, 10, -23], [1, -29, 66]]),
+]
+
+
+@pytest.mark.parametrize("m,u,s,v", _INTEGER_SMITH_GOLDEN, ids=["3x3", "3x4", "4x3"])
+def test_smith_form_integer_transforms_are_pinned(m, u, s, v):
+    got = smith_form(Mat(ZZ, m))
+    assert [[list(row) for row in x.entries] for x in got] == [u, s, v]
+
+
 def test_gcd_minors_identity():
     m = char_matrix(Mat(QQ, [[0]]))
     assert gcd_minors_chain(m) == [Poly.x(QQ)]
@@ -193,6 +246,21 @@ def test_chain_divisibility_violation_rejected():
         elementary_divisors_from_chain([lin(1) ** 2, lin(1)])
     with pytest.raises(ValueError):
         elementary_divisors_from_chain([lin(2), lin(1) ** 2])
+
+
+def test_integer_chain_divisibility_violation_rejected():
+    with pytest.raises(ValueError, match="divisibility"):
+        elementary_divisors_from_chain([4, 6])
+
+
+def test_chain_is_read_as_a_gcd_chain():
+    # J_1(1) + J_2(1): gcd chain [1, (x-1), (x-1)^3], invariant factors
+    # [1, (x-1), (x-1)^2]; only the gcd chain gives the right divisors
+    gcd_chain = [Poly.one(QQ), lin(1), lin(1) ** 3]
+    assert gcd_minors_chain(char_matrix(Mat(QQ, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))) \
+        == gcd_chain
+    assert elementary_divisors_from_chain(gcd_chain) == [(lin(1), 2), (lin(1), 1)]
+    assert elementary_divisors_from_chain([lin(1), lin(1) ** 2]) == [(lin(1), 1), (lin(1), 1)]
 
 
 def test_chain_integer_variant():

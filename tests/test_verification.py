@@ -1,6 +1,7 @@
 """The exact re-checks raise VerificationError, also under ``python -O``."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from canonforms import (
     QQ,
     Mat,
     Pencil,
+    Poly,
     VerificationError,
     jordan_form,
     pencil_equivalent,
@@ -328,8 +330,91 @@ def test_lint_finds_definitions_only_tests_could_use(tmp_path):
                                                    ("other.py", "g")]
 
 
+# smith.py tells Z from F[x] in one place: an isinstance test against
+# IntegerRing or PolynomialRing may appear only in _ops_for
+def _ring_tests_by_function(path):
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "isinstance" and len(child.args) == 2
+                    and any(isinstance(n, ast.Name)
+                            and n.id in ("IntegerRing", "PolynomialRing")
+                            for n in ast.walk(child.args[1]))):
+                found.add(owner)
+            walk(child, owner)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_smith_decides_the_ring_only_in_ops_for():
+    assert _ring_tests_by_function(SRC / "canonforms" / "smith.py") == {"_ops_for"}
+
+
+def test_lint_finds_ring_tests(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(d):\n    return isinstance(d, IntegerRing)\n"
+                    "def g(d):\n    return isinstance(d, (Poly, PolynomialRing))\n"
+                    "def h(d):\n    return isinstance(d, IntegerRing | str)\n"
+                    "def k(p):\n    return isinstance(p, Poly)\n",
+                    encoding="utf-8")
+    assert _ring_tests_by_function(path) == {"f", "g", "h"}
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: a failed internal check reaches the CLI user as one line
+
+
+def test_cli_verify_with_a_tampered_ledger_exits_3(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "a.mat"
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 1\n0 2\n", encoding="utf-8")
+    real = cli._kernel_ledger
+    monkeypatch.setattr(cli, "_kernel_ledger",
+                        lambda a, exponents: replace(real(a, exponents), rank=0))
+    assert cli.run(["verify", "--json", str(path)]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["invariants"]["all_passed"] is False
+    assert report["verified"] is False
+    assert ["kernel-route ledger matches Smith ledger", False] in report["invariants"]["checks"]
+    assert err == ("internal check failed: kernel-route ledger matches Smith "
+                   "ledger\n")
+    # the text report is printed too, with the failed check marked
+    assert cli.run(["verify", str(path)]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert "FAIL  kernel-route ledger matches Smith ledger" in out.splitlines()
+    assert err.count("\n") == 1
+
+
+def test_cli_kron_form_mismatch_exits_3(monkeypatch, capsys):
+    real = cli.pencil_det
+    monkeypatch.setattr(cli, "pencil_det", lambda pc: real(pc) * 2)
+    assert cli.run(["kron-form", "--json", "--kind", "I", "--size", "3"]) == cli.EXIT_VERIFY
+    out, err = capsys.readouterr()
+    assert json.loads(out)["invariants"]["match"] == "MISMATCH"
+    assert err == ("internal check failed: det(uM + vM^T) matches the expected "
+                   "determinant\n")
+
+
+def test_pencil_sides_of_different_rank_raise(monkeypatch):
+    # x -> 1/y keeps the rank, so a rank that differs between x P + Q and
+    # P + y Q is a reduction bug, not a singular pencil
+    real = pencil.smith_diagonal
+    calls = []
+
+    def zero_last_on_the_y_side(m):
+        calls.append(m)
+        diag = real(m)
+        return diag if len(calls) == 1 else diag[:-1] + [Poly.zero(QQ)]
+
+    monkeypatch.setattr(pencil, "smith_diagonal", zero_last_on_the_y_side)
+    with pytest.raises(VerificationError, match="differ in rank"):
+        pencil.pencil_divisors(_PENCIL)
 
 
 def test_cli_failed_check_exits_3(monkeypatch, tmp_path, capsys):
