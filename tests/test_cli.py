@@ -103,6 +103,45 @@ def test_parse_errors_have_positions(text, needle):
     assert exc.value.line >= 1 and exc.value.col >= 1
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "1:1: unexpected end of input, expected FIELD"),
+    ("# only a comment\n", "1:1: unexpected end of input, expected FIELD"),
+    ("ROWS 1 COLS 1\n1\n", "1:1: expected FIELD, got 'ROWS'"),
+    ("FIELDS Q\nROWS 1 COLS 1\n1\n", "1:1: expected FIELD, got 'FIELDS'"),
+    ("FIELD\n", "1:1: unexpected end of input, expected field name"),
+    ("FIELD R\nROWS 1 COLS 1\n1\n", "1:7: unknown field 'R' (use Q or GF <p>)"),
+    ("FIELD q\nROWS 1 COLS 1\n1\n", "1:7: unknown field 'q' (use Q or GF <p>)"),
+    ("FIELD GF\n", "1:7: unexpected end of input, expected modulus"),
+    ("FIELD GF x\nROWS 1 COLS 1\n1\n", "1:10: modulus must be an integer, got 'x'"),
+    ("FIELD GF 7.0\nROWS 1 COLS 1\n1\n",
+     "1:10: modulus must be an integer, got '7.0'"),
+    ("FIELD GF 6\nROWS 1 COLS 1\n1\n", "1:10: modulus 6 is not prime"),
+    ("FIELD  GF  9\nROWS 1 COLS 1\n1\n", "1:12: modulus 9 is not prime"),
+    ("FIELD Q\n", "1:7: unexpected end of input, expected ROWS"),
+    ("FIELD Q\nROW 1 COLS 1\n1\n", "2:1: expected ROWS, got 'ROW'"),
+    ("FIELD Q\nCOLS 1 ROWS 1\n1\n", "2:1: expected ROWS, got 'COLS'"),
+    ("FIELD Q\nROWS\n", "2:1: unexpected end of input, expected row count"),
+    ("FIELD Q\nROWS x COLS 1\n1\n", "2:6: row count must be an integer, got 'x'"),
+    ("FIELD Q\nROWS 1.5 COLS 1\n1\n",
+     "2:6: row count must be an integer, got '1.5'"),
+    ("FIELD Q\nROWS 1\n", "2:6: unexpected end of input, expected COLS"),
+    ("FIELD Q\nROWS 1 cols 1\n1\n", "2:8: expected COLS, got 'cols'"),
+    ("FIELD Q\nROWS 1 COLS\n", "2:8: unexpected end of input, expected column count"),
+    ("FIELD Q\nROWS 1 COLS one\n1\n",
+     "2:13: column count must be an integer, got 'one'"),
+    ("FIELD Q\nROWS 1 COLS 1\n", "2:13: unexpected end of input, expected matrix entry"),
+    ("FIELD Q\nROWS 2 COLS 2\n1 2\n3\n",
+     "4:1: unexpected end of input, expected matrix entry"),
+    ("FIELD Q\nROWS 1 COLS 1\n1 2\n", "3:3: wrong entry count: trailing token '2'"),
+    ("FIELD Q\nROWS 1 COLS 1\n1\nFIELD Q\n",
+     "4:1: wrong entry count: trailing token 'FIELD'"),
+])
+def test_header_errors_name_their_token(text, message):
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("data,where,needle", [
     (b"\xff\xfeFIELD Q\nROWS 1 COLS 1\n1\n", "1:1", "non-ASCII byte 0xff"),
     ("FIELD Q\nROWS 1 COLS 1\n\u0663\n".encode("utf-8"), "3:1", "non-ASCII byte 0xd9"),
