@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -1057,11 +1057,13 @@ class HomogeneousPoint:
     """A point (a : b) of the projective line, canonically normalized.
 
     b is the field one when b != 0; otherwise the point is (1 : 0), the point
-    at infinity.  Equality of normalized pairs is projective equality.
+    at infinity.  Equality of normalized pairs is projective equality.  The
+    point keeps its field, which takes no part in equality.
     """
 
     a: object
     b: object
+    domain: object = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, domain, a, b) -> "HomogeneousPoint":
@@ -1070,12 +1072,12 @@ class HomogeneousPoint:
         if scalar_is_zero(a) and scalar_is_zero(b):
             raise ValueError("(0 : 0) is not a projective point")
         if not scalar_is_zero(b):
-            return cls(a / b, domain.one)
-        return cls(domain.one, domain.zero)
+            return cls(a / b, domain.one, domain)
+        return cls.infinity(domain)
 
     @classmethod
     def infinity(cls, domain) -> "HomogeneousPoint":
-        return cls(domain.one, domain.zero)
+        return cls(domain.one, domain.zero, domain)
 
     @property
     def is_infinity(self) -> bool:

@@ -20,6 +20,9 @@ are ``[+-]?[0-9]+`` as well.  Limits: ``verify --trials`` is at most
 MAX_TRIALS = 100 and ``kron-form --size`` at most MAX_KRON_SIZE = 32; a
 value outside 0..limit, like any malformed argument, is an input error
 naming the flag, before any work.
+
+Commands record their transform matrices in the report, and the report
+alone applies ``--no-transform``, to the text and to ``--json`` alike.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .canonical import (
     rational_canonical_form,
     similar,
 )
-from .matrix import Mat, _products_agree, det, mat_inverse
+from .matrix import Mat, det, mat_inverse
 from .oscillations import OscSystem, mode_report
 from .pencil import (
     Pencil,
@@ -133,45 +136,39 @@ def parse_matrix(text: str) -> Mat:
         pos += 1
         return t
 
-    tok, ln, col = need("FIELD")
-    if tok != "FIELD":
-        raise MatrixParseError(f"expected FIELD, got {tok!r}", ln, col)
+    def keyword(word: str) -> None:
+        tok, ln, col = need(word)
+        if tok != word:
+            raise MatrixParseError(f"expected {word}, got {tok!r}", ln, col)
+
+    def integer(what: str) -> Tuple[int, int, int]:
+        tok, ln, col = need(what)
+        try:
+            return _int(tok), ln, col
+        except ValueError:
+            raise MatrixParseError(f"{what} must be an integer, got {tok!r}",
+                                   ln, col) from None
+
+    def count(word: str, what: str) -> int:
+        keyword(word)
+        n, ln, col = integer(what)
+        if n < 1:
+            raise MatrixParseError("dimensions must be positive", ln, col)
+        return n
+
+    keyword("FIELD")
     tok, ln, col = need("field name")
     if tok == "Q":
         dom = QQ
     elif tok == "GF":
-        tok2, ln2, col2 = need("modulus")
-        try:
-            p = _int(tok2)
-        except ValueError:
-            raise MatrixParseError(f"modulus must be an integer, got {tok2!r}",
-                                   ln2, col2) from None
+        p, ln, col = integer("modulus")
         try:
             dom = GF(p)
         except DomainError as exc:
-            raise MatrixParseError(str(exc), ln2, col2) from None
+            raise MatrixParseError(str(exc), ln, col) from None
     else:
         raise MatrixParseError(f"unknown field {tok!r} (use Q or GF <p>)", ln, col)
-    tok, ln, col = need("ROWS")
-    if tok != "ROWS":
-        raise MatrixParseError(f"expected ROWS, got {tok!r}", ln, col)
-    tok, ln, col = need("row count")
-    try:
-        nrows = _int(tok)
-    except ValueError:
-        raise MatrixParseError(f"row count must be an integer, got {tok!r}",
-                               ln, col) from None
-    tok, ln, col = need("COLS")
-    if tok != "COLS":
-        raise MatrixParseError(f"expected COLS, got {tok!r}", ln, col)
-    tok, ln, col = need("column count")
-    try:
-        ncols = _int(tok)
-    except ValueError:
-        raise MatrixParseError(f"column count must be an integer, got {tok!r}",
-                               ln, col) from None
-    if nrows < 1 or ncols < 1:
-        raise MatrixParseError("dimensions must be positive", ln, col)
+    nrows, ncols = count("ROWS", "row count"), count("COLS", "column count")
     entries = []
     for _ in range(nrows):
         row = []
@@ -252,32 +249,34 @@ def _mat_human(m: Mat, var: str = HUMAN_VAR) -> str:
     return "\n".join(lines)
 
 
-def _digest(*texts: str) -> str:
-    h = hashlib.sha256()
-    for t in texts:
-        h.update(t.encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
-
-
 class _Report:
-    """Accumulates a report; renders as text lines or one JSON object."""
+    """A report on canonical input texts, rendered as text lines or as JSON."""
 
-    def __init__(self, kind: str, digest: str):
+    def __init__(self, kind: str, *inputs: str):
         self.kind = kind
-        self.digest = digest
-        self.lines: List[str] = []
+        h = hashlib.sha256()
+        for text in inputs:
+            h.update(text.encode("utf-8") + b"\x00")
+        self.digest = h.hexdigest()
+        self.lines: List[Tuple[str, bool]] = []   # (text, shows a transform)
         self.invariants: dict = {}
         self.transforms: dict = {}
         self.verified = True
         self.failed: Optional[str] = None   # the first failed check, if any
 
     def say(self, line: str = ""):
-        self.lines.append(line)
+        self.lines.append((line, False))
+
+    def transform(self, name: str, m: Mat, heading: Optional[str] = None):
+        """Record ``name`` for --json; given a heading, the text shows it too."""
+        self.transforms[name] = _mat_json(m)
+        if heading is not None:
+            self.lines += [(heading, True), (_mat_human(m), True)]
 
     def emit(self, json_mode: bool, no_transform: bool) -> str:
         if not json_mode:
-            return "\n".join(self.lines) + ("\n" if self.lines else "")
+            return "".join(f"{text}\n" for text, shows in self.lines
+                           if not (shows and no_transform))
         payload = {
             "kind": self.kind,
             "input_digest": self.digest,
@@ -323,10 +322,15 @@ def _require_square(m: Mat, path: str) -> None:
         raise MatrixParseError(f"{path}: expected a square matrix")
 
 
+def _square_input(path: str, kind: str) -> Tuple[Mat, _Report]:
+    """The square matrix in ``path`` and the report on it."""
+    a, canon = _load(path)
+    _require_square(a, path)
+    return a, _Report(kind, canon)
+
+
 def _cmd_smith(args) -> Tuple[int, _Report]:
-    a, canon = _load(args.matrix)
-    _require_square(a, args.matrix)
-    rep = _Report("smith", _digest(canon))
+    a, rep = _square_input(args.matrix, "smith")
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
     du, dv = det(u), det(v)
@@ -334,25 +338,18 @@ def _cmd_smith(args) -> Tuple[int, _Report]:
         raise VerificationError("smith transforms U and V are not unimodular")
     diag = [s.entries[i][i] for i in range(s.rows)]
     rep.invariants["smith_diagonal"] = [_poly_str(d, "x") for d in diag]
-    rep.transforms["U"] = _mat_json(u)
-    rep.transforms["S"] = _mat_json(s)
-    rep.transforms["V"] = _mat_json(v)
     rep.say(f"Smith form of {HUMAN_VAR}I - A    (U ({HUMAN_VAR}I - A) V = S)")
     rep.say(f"diagonal: {', '.join(_poly_str(d, HUMAN_VAR) for d in diag)}")
     rep.say(f"det U = {_poly_str(du, HUMAN_VAR)}, det V = {_poly_str(dv, HUMAN_VAR)} (unimodular)")
-    if not args.no_transform:
-        rep.say("U =")
-        rep.say(_mat_human(u))
-        rep.say("V =")
-        rep.say(_mat_human(v))
+    rep.transform("U", u, "U =")
+    rep.transform("S", s)
+    rep.transform("V", v, "V =")
     rep.say(f"verified: U ({HUMAN_VAR}I - A) V = S exactly")
     return EXIT_OK, rep
 
 
 def _cmd_invfactors(args) -> Tuple[int, _Report]:
-    a, canon = _load(args.matrix)
-    _require_square(a, args.matrix)
-    rep = _Report("invfactors", _digest(canon))
+    a, rep = _square_input(args.matrix, "invfactors")
     dd = divisor_data(a)
     rep.invariants["invariant_factors"] = [_poly_str(f, "x") for f in dd.invariant_factors]
     rep.invariants["gcd_chain"] = [_poly_str(f, "x") for f in dd.gcd_chain]
@@ -364,9 +361,7 @@ def _cmd_invfactors(args) -> Tuple[int, _Report]:
 
 
 def _cmd_eldiv(args) -> Tuple[int, _Report]:
-    a, canon = _load(args.matrix)
-    _require_square(a, args.matrix)
-    rep = _Report("eldiv", _digest(canon))
+    a, rep = _square_input(args.matrix, "eldiv")
     dd = divisor_data(a)
     rep.invariants["elementary_divisors"] = [
         _divisor_str(b, e, "x") for b, e in dd.elementary_divisors]
@@ -377,9 +372,7 @@ def _cmd_eldiv(args) -> Tuple[int, _Report]:
 
 def _form_command(kind: str, builder, name: str = "form"):
     def run_it(args) -> Tuple[int, _Report]:
-        a, canon = _load(args.matrix)
-        _require_square(a, args.matrix)
-        rep = _Report(kind, _digest(canon))
+        a, rep = _square_input(args.matrix, kind)
         try:
             res = builder(a)
         except SplitFieldRequired as exc:
@@ -392,8 +385,7 @@ def _form_command(kind: str, builder, name: str = "form"):
             rep.verified = False
             return EXIT_REFUSED, rep
         rep.invariants["blocks"] = _blocks_json(res)
-        rep.transforms["form"] = _mat_json(res.matrix)
-        rep.transforms["T"] = _mat_json(res.transform)
+        rep.transform("form", res.matrix)
         rep.verified = res.verified
         rep.say(f"{kind} form:")
         rep.say(_mat_human(res.matrix))
@@ -402,9 +394,7 @@ def _form_command(kind: str, builder, name: str = "form"):
             rep.invariants["structure"] = pairs
             rep.say("structure: " + "; ".join(
                 f"eigenvalue {ev}: sizes {sizes}" for ev, sizes in pairs))
-        if not args.no_transform:
-            rep.say(f"T =  (inverse(T) A T = {name})")
-            rep.say(_mat_human(res.transform))
+        rep.transform("T", res.transform, f"T =  (inverse(T) A T = {name})")
         rep.say(f"verified: {res.verified}")
         return EXIT_OK, rep
     return run_it
@@ -432,17 +422,14 @@ def _cmd_similar(args) -> Tuple[int, _Report]:
     b, canon_b = _load(args.matrix_b)
     _require_square(a, args.matrix_a)
     _require_square(b, args.matrix_b)
-    rep = _Report("similar", _digest(canon_a, canon_b))
+    rep = _Report("similar", canon_a, canon_b)
     if a.domain != b.domain or a.rows != b.rows:
         raise MatrixParseError("similarity needs equal sizes over one field")
     ok, t = similar(a, b)
     rep.invariants["similar"] = ok
     if ok:
         rep.say("SIMILAR")
-        rep.transforms["T"] = _mat_json(t)
-        if not args.no_transform:
-            rep.say("T =  (inverse(T) A T = B)")
-            rep.say(_mat_human(t))
+        rep.transform("T", t, "T =  (inverse(T) A T = B)")
     else:
         rep.say("NOT SIMILAR")
         for name, m in (("A", a), ("B", b)) if not args.json else ():
@@ -463,7 +450,7 @@ def _load_pencil(path_p: str, path_q: str) -> Tuple[Pencil, str, str]:
 
 def _cmd_pencil_eldiv(args) -> Tuple[int, _Report]:
     pc, cp, cq = _load_pencil(args.matrix_p, args.matrix_q)
-    rep = _Report("pencil-eldiv", _digest(cp, cq))
+    rep = _Report("pencil-eldiv", cp, cq)
     det_form = pencil_det(pc)
     # the form's coefficients are those of det(x P + Q), built once
     inv = _pencil_divisors(pc, Poly(pc.domain, det_form.coeffs))
@@ -489,7 +476,7 @@ def _cmd_pencil_equiv(args) -> Tuple[int, _Report]:
     pc2, c3, c4 = _load_pencil(args.matrix_p2, args.matrix_q2)
     if pc1.domain != pc2.domain or pc1.size != pc2.size:
         raise MatrixParseError("pencil equivalence needs equal sizes over one field")
-    rep = _Report("pencil-equiv", _digest(c1, c2, c3, c4))
+    rep = _Report("pencil-equiv", c1, c2, c3, c4)
     try:
         ok, witness = pencil_equivalent(pc1, pc2)
     except SingularPencilError as exc:
@@ -505,13 +492,8 @@ def _cmd_pencil_equiv(args) -> Tuple[int, _Report]:
                     "field; the decision rests on the matching divisors")
         else:
             h, k = witness
-            rep.transforms["H"] = _mat_json(h)
-            rep.transforms["K"] = _mat_json(k)
-            if not args.no_transform:
-                rep.say("H =  (transpose(H) (uP + vQ) K = uP' + vQ')")
-                rep.say(_mat_human(h))
-                rep.say("K =")
-                rep.say(_mat_human(k))
+            rep.transform("H", h, "H =  (transpose(H) (uP + vQ) K = uP' + vQ')")
+            rep.transform("K", k, "K =")
     else:
         rep.say("NOT EQUIVALENT")
         for name, pc in (("first", pc1), ("second", pc2)) if not args.json else ():
@@ -522,7 +504,7 @@ def _cmd_pencil_equiv(args) -> Tuple[int, _Report]:
 
 def _cmd_pencil_canon(args) -> Tuple[int, _Report]:
     pc, cp, cq = _load_pencil(args.matrix_p, args.matrix_q)
-    rep = _Report("pencil-canon", _digest(cp, cq))
+    rep = _Report("pencil-canon", cp, cq)
     inv = pencil_divisors(pc)
     if not inv.regular:
         rep.say("refused: singular pencil: canonical minimal-index theory out of scope")
@@ -532,8 +514,8 @@ def _cmd_pencil_canon(args) -> Tuple[int, _Report]:
     out = canonical_pencil(inv)
     rep.invariants["divisors"] = [
         _pencil_divisor_str(b, e, "x") for b, e in inv.multiset()]
-    rep.transforms["P"] = _mat_json(out.p)
-    rep.transforms["Q"] = _mat_json(out.q)
+    rep.transform("P", out.p)
+    rep.transform("Q", out.q)
     rep.say("canonical pair (P, Q):")
     rep.say("P =")
     rep.say(_mat_human(out.p))
@@ -544,16 +526,12 @@ def _cmd_pencil_canon(args) -> Tuple[int, _Report]:
 
 
 def _cmd_kron_form(args) -> Tuple[int, _Report]:
-    rep = _Report("kron-form",
-                  _digest(f"{args.kind} {args.size} {args.a} {args.b}"))
+    rep = _Report("kron-form", f"{args.kind} {args.size} {args.a} {args.b}")
     try:
-        if args.kind == "III":
-            if args.a is None or args.b is None:
-                raise ValueError("kind III needs --a and --b")
-            m, pc, expected = kronecker_elementary_form(
-                args.kind, args.size, args.a, args.b)
-        else:
-            m, pc, expected = kronecker_elementary_form(args.kind, args.size)
+        if args.kind == "III" and (args.a is None or args.b is None):
+            raise ValueError("kind III needs --a and --b")
+        m, pc, expected = kronecker_elementary_form(
+            args.kind, args.size, args.a, args.b)
     except ValueError as exc:
         raise MatrixParseError(str(exc)) from None
     got = pencil_det(pc)
@@ -569,7 +547,7 @@ def _cmd_kron_form(args) -> Tuple[int, _Report]:
     rep.invariants["computed_determinant"] = got.render()
     rep.invariants["match"] = match
     rep.invariants["sign"] = sign
-    rep.transforms["M"] = _mat_json(m)
+    rep.transform("M", m)
     rep.verified = sign != 0
     if not rep.verified:
         rep.failed = "det(uM + vM^T) matches the expected determinant"
@@ -584,7 +562,7 @@ def _cmd_kron_form(args) -> Tuple[int, _Report]:
 def _cmd_oscillate(args) -> Tuple[int, _Report]:
     m, canon_m = _load(args.matrix_m)
     k, canon_k = _load(args.matrix_k)
-    rep = _Report("oscillate", _digest(canon_m, canon_k))
+    rep = _Report("oscillate", canon_m, canon_k)
     try:
         sys_ = OscSystem(m, k)
     except ValueError as exc:
@@ -637,24 +615,21 @@ def _cmd_oscillate(args) -> Tuple[int, _Report]:
 
 
 def _cmd_verify(args) -> Tuple[int, _Report]:
-    a, canon = _load(args.matrix)
-    _require_square(a, args.matrix)
-    rep = _Report("verify", _digest(canon))
+    a, rep = _square_input(args.matrix, "verify")
     rng = random.Random(args.seed)
     checks: List[Tuple[str, bool]] = []
 
     # the Smith reduction of xI - A gives Kronecker's ledger; the nested
-    # kernels over the base field give Jordan's, and all three forms
+    # kernels over the base field give Jordan's, and all three forms.
+    # smith_form has proved U (xI - A) V = S and d_k | d_(k+1), or raised
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
-    checks.append(("smith identity U (xI - A) V = S",
-                   _products_agree((u, x_mat, v), (s,))))
+    checks.append(("smith identity U (xI - A) V = S", True))
     du, dv = det(u), det(v)
     checks.append(("U unimodular", (not du.is_zero()) and du.degree == 0))
     checks.append(("V unimodular", (not dv.is_zero()) and dv.degree == 0))
+    checks.append(("divisibility d_k | d_{k+1}", True))
     diag = tuple(s.entries[i][i] for i in range(s.rows))
-    chain_ok = all((diag[i + 1] % diag[i]).is_zero() for i in range(len(diag) - 1))
-    checks.append(("divisibility d_k | d_{k+1}", chain_ok))
 
     dd = _ledger(a, diag)
     prod = Poly.one(a.domain)

@@ -106,17 +106,8 @@ def _pencil_divisor_str(base, e: int, var: str) -> str:
     if isinstance(base, HomogeneousPoint) and base.is_infinity:
         return "(infinity)" if e == 1 else f"(infinity)^{e}"
     if isinstance(base, HomogeneousPoint):
-        base = Poly.linear(_point_domain(base), base.a)
+        base = Poly.linear(base.domain, base.a)
     return _divisor_str(base, e, var)
-
-
-def _point_domain(pt: HomogeneousPoint):
-    a = pt.a
-    if isinstance(a, Fraction):
-        from .algebra import QQ
-        return QQ
-    from .algebra import GF
-    return GF(a.p)
 
 
 def _divisor_degree(base, e: int) -> int:
@@ -237,7 +228,7 @@ def canonical_pencil(inv: PencilInvariants) -> Pencil:
             "singular pencil: canonical minimal-index theory out of scope")
     if not inv.divisors:
         raise ValueError("empty invariant set")
-    dom = _divisors_domain(inv.divisors)
+    dom = inv.divisors[0][0].domain
     if inv.total_degree() != inv.size:
         raise ValueError("divisor degrees do not sum to the pencil size")
     p_blocks: List[Mat] = []
@@ -259,14 +250,6 @@ def canonical_pencil(inv: PencilInvariants) -> Pencil:
     if back.multiset() != inv.multiset():
         raise VerificationError("canonical pencil self-test failed")
     return out
-
-
-def _divisors_domain(divisors):
-    for base, _ in divisors:
-        if isinstance(base, HomogeneousPoint):
-            return _point_domain(base)
-        return base.domain
-    raise ValueError("empty divisor list")
 
 
 def pencil_equivalent(pc1: Pencil, pc2: Pencil):
@@ -318,17 +301,16 @@ def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
     leading member alpha P + gamma Q is invertible for both pencils.
 
     det(P + c Q) is a nonzero polynomial in c of degree <= n for a regular
-    pencil, so at most 2n values of c fail for the pair: over GF(p) the
-    first 2n + 1 residues hold a working shift whenever p > 2n."""
+    pencil, so at most 2n values of c fail for the pair, and the first
+    2n + 1 values tried hold a working shift: c = 0, 1, -1, ..., n, -n over
+    Q, and the residues 0 .. 2n over GF(p) whenever p > 2n."""
     dom = pc1.domain
+    n = pc1.size
     if isinstance(dom, RationalField):
-        leading = [(Fraction(1), Fraction(0))]
-        for k in range(1, 2 * pc1.size + 3):
-            leading.append((Fraction(1), Fraction(k)))
-            leading.append((Fraction(1), Fraction(-k)))
+        shifts = [0] + [s * k for k in range(1, n + 1) for s in (1, -1)]
     else:
-        leading = [(dom.one, dom.coerce(c))
-                   for c in range(min(dom.characteristic, 2 * pc1.size + 1))]
+        shifts = range(min(dom.characteristic, 2 * n + 1))
+    leading = [(dom.one, dom.coerce(c)) for c in shifts]
     leading.append((dom.zero, dom.one))
     for alpha, gamma in leading:
         m1 = pc1.p * alpha + pc1.q * gamma

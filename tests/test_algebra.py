@@ -443,6 +443,16 @@ def test_point_at_infinity():
         HomogeneousPoint.of(QQ, 0, 0)
 
 
+def test_point_keeps_its_field_outside_equality_and_repr():
+    for dom in (QQ, GF(7)):
+        for p in (HomogeneousPoint.of(dom, 3, 2), HomogeneousPoint.infinity(dom)):
+            assert p.domain == dom
+            assert p == HomogeneousPoint(p.a, p.b, None)
+            assert hash(p) == hash(HomogeneousPoint(p.a, p.b, None))
+    assert repr(HomogeneousPoint.of(QQ, 3, 2)) == (
+        "HomogeneousPoint(a=Fraction(3, 2), b=Fraction(1, 1))")
+
+
 def test_binary_form_evaluation_and_factoring():
     # (u - v)^2 (2u + v)
     b = (BinaryForm.linear_power(QQ, 1, -1, 2)

@@ -142,6 +142,20 @@ def test_header_errors_name_their_token(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("header,where", [
+    ("ROWS 0 COLS 3", "2:6"),
+    ("ROWS 3 COLS 0", "2:13"),
+    ("ROWS -2 COLS 3", "2:6"),
+    ("ROWS 0 COLS x", "2:6"),      # a count is checked before the next token is read
+], ids=["zero-rows", "zero-cols", "negative-rows", "zero-rows-bad-cols"])
+def test_nonpositive_count_is_reported_at_its_own_token(tmp_path, capsys, header, where):
+    path = write(tmp_path, "a.mat", f"FIELD Q\n{header}\n1 2 3\n")
+    code, out = invoke(["eldiv", path])
+    assert code == EXIT_INPUT and out == ""
+    assert capsys.readouterr().err == (
+        f"input error: {path}:{where}: dimensions must be positive\n")
+
+
 @pytest.mark.parametrize("data,where,needle", [
     (b"\xff\xfeFIELD Q\nROWS 1 COLS 1\n1\n", "1:1", "non-ASCII byte 0xff"),
     ("FIELD Q\nROWS 1 COLS 1\n\u0663\n".encode("utf-8"), "3:1", "non-ASCII byte 0xd9"),
@@ -303,6 +317,27 @@ def test_verify_reduces_xI_minus_A_once(tmp_path, monkeypatch):
     # and the conjugation trials reduce nothing
     assert reductions == [True]
     assert ledgers.count(True) == 1
+
+
+def test_verify_evaluates_the_smith_identity_once(tmp_path, monkeypatch):
+    import canonforms.canonical as canonical
+    import canonforms.smith as smith
+
+    x_mat = smith.char_matrix(parse_matrix(CHAIN3_TEXT))
+    identities = []
+    for module in (cli, smith, canonical):
+        orig = getattr(module, "_products_agree", None)
+        if orig is not None:
+            monkeypatch.setattr(module, "_products_agree", lambda left, right, orig=orig: (
+                identities.append(len(left) == 3 and left[1] == x_mat)
+                or orig(left, right)))
+    code, out = invoke(["verify", "--trials", "0", write(tmp_path, "a.mat", CHAIN3_TEXT)])
+    assert code == EXIT_OK
+    # smith_form checks U (xI - A) V = S and the divisibility chain, or
+    # raises; the report states both
+    assert identities.count(True) == 1
+    assert "PASS  smith identity U (xI - A) V = S" in out.splitlines()
+    assert "PASS  divisibility d_k | d_{k+1}" in out.splitlines()
 
 
 def test_similar_with_witness(tmp_path):

@@ -397,6 +397,27 @@ def test_gf2_pair_without_a_shift_decides_without_witness():
     assert pencil_equivalent(pc, pc.transform(h, k)) == (True, None)
 
 
+def test_shift_search_over_q_stops_after_2n_plus_1_values(monkeypatch):
+    # the first pencil is singular, so every det(P + c Q) of it vanishes:
+    # c = 0, 1, -1, 2, -2, 3, -3 and then Q itself, one determinant each
+    n = 3
+    singular = Pencil(Mat.zero(QQ, n, n), Mat.zero(QQ, n, n))
+    regular = Pencil(Mat.identity(QQ, n), Mat.identity(QQ, n))
+    dets = []
+    monkeypatch.setattr(pencil, "det", lambda m: dets.append(m) or det(m))
+    assert pencil._joint_regular_shift(singular, regular) is None
+    assert len(dets) == 2 * n + 2
+
+
+def test_shift_search_over_q_reaches_its_last_value():
+    # det(P1 + c Q) = c (c - 1) and det(P2 + c Q) = (c + 1)(c - 2): c = 0, 1,
+    # -1, 2 fail, so the shift is -2, the (2n + 1)-th value tried
+    eye = Mat.identity(QQ, 2)
+    pc1 = Pencil(Mat(QQ, [[0, 0], [0, -1]]), eye)
+    pc2 = Pencil(Mat(QQ, [[1, 0], [0, -2]]), eye)
+    assert pencil._joint_regular_shift(pc1, pc2) == ((1, -2), (1, 0))
+
+
 def _decide_by_divisors(pc1, pc2):
     """The divisor-multiset decision: None for a singular pair."""
     inv1, inv2 = pencil_divisors(pc1), pencil_divisors(pc2)

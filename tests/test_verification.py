@@ -366,6 +366,41 @@ def test_lint_finds_ring_tests(tmp_path):
     assert _ring_tests_by_function(path) == {"f", "g", "h"}
 
 
+# cli.py decides once whether a transform is shown: `run` reads the flag
+# and hands it to `_Report.emit`, and no command reads it
+def _no_transform_reads(path):
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "no_transform"
+                    or isinstance(child, ast.Name) and child.id == "no_transform"):
+                found.add(owner)
+            walk(child, owner)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_cli_applies_no_transform_only_in_the_report():
+    assert _no_transform_reads(SRC / "canonforms" / "cli.py") <= {"run", "_Report.emit"}
+
+
+def test_lint_finds_no_transform_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def run(args):\n    return args.no_transform\n"
+                    "class R:\n    def emit(self, no_transform):\n"
+                    "        return no_transform\n"
+                    "def factory():\n    def cmd(args):\n"
+                    "        return not args.no_transform\n    return cmd\n"
+                    "def parser():\n    return dict(no_transform=False)\n",
+                    encoding="utf-8")
+    assert _no_transform_reads(path) == {"run", "R.emit", "factory.cmd"}
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: a failed internal check reaches the CLI user as one line
 
