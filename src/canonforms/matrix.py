@@ -4,6 +4,13 @@ Entries are raw domain values (Fraction, int, GFElement, Poly); the matrix
 carries the domain object.  Everything is immutable; all operations are pure
 functions, so concurrent use is safe.
 
+Over Q, Z and GF(p), ``rref`` (and so ``nullspace`` and ``mat_inverse``)
+and matrix products run on Python ints: a matrix is lifted once to integer
+rows with one denominator (over Q) or as residues modulo p, computed on, and
+mapped back to scalars once.  ``rref`` is fraction-free Gauss-Jordan over Q
+and Gauss-Jordan on residues over GF(p); a product is one integer matrix
+product.  Only products of polynomial matrices work entry by entry.
+
 The determinant expands exactly along rows and columns with at most one
 nonzero entry and computes the rest by fraction-free Bareiss elimination,
 whose exact divisions are checked; the same code path serves fields, Z and
@@ -24,10 +31,12 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
 from .algebra import (
     DomainError,
+    GFElement,
     IntegerRing,
     Poly,
     RationalField,
@@ -205,6 +214,9 @@ class Mat:
             o = self._check(other)
             if self.cols != o.rows:
                 raise ShapeError("shape mismatch in multiplication")
+            if not isinstance(self.domain, PolynomialRing):
+                (a, den_a), (b, den_b) = _int_rows(self), _int_rows(o)
+                return _from_int_rows(self.domain, _int_product([a, b]), den_a * den_b)
             oc = list(zip(*o.entries))
             z = self.domain.zero
             out = []
@@ -358,33 +370,58 @@ def _linear_pencil(first: Mat, second: Mat) -> Mat:
 
 
 def rref(m: Mat) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form over a field, with the pivot column list."""
-    if not m.domain.is_field:
+    """Reduced row echelon form over a field, with the pivot column list.
+
+    Over Q each row is first multiplied by the lcm of its denominators,
+    which keeps the row space and so the reduced form; over GF(p) the rows
+    are residues.  ``_gauss_jordan`` then works on the integer rows."""
+    dom = m.domain
+    if not dom.is_field:
         raise DomainError("rref requires a field domain")
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if not scalar_is_zero(a[i][c]):
-                pr = i
-                break
+    p = dom.characteristic
+    rows = _int_rows(m)[0] if p else [_cleared(row)[0] for row in m.entries]
+    piv_cols, d = _gauss_jordan(rows, p)
+    return _from_int_rows(dom, rows, d), piv_cols
+
+
+def _gauss_jordan(a: list, p: int) -> Tuple[List[int], int]:
+    """Gauss-Jordan elimination on the list of integer rows ``a``, in
+    place; returns (pivot columns, d) with the reduced echelon form a / d.
+
+    Over GF(p) (p > 0) the rows hold residues, each pivot row is scaled to
+    a leading 1, and d = 1.  Over Q (p = 0) the elimination is
+    fraction-free: a pivot step with pivot entry piv in row r replaces every
+    other row by (piv row_i - t row_r) / prev, t its entry in the pivot
+    column and prev the previous pivot (1 at the start).  Every entry stays
+    a minor of the input, a pivot row's by Cramer's rule and any other
+    row's by Sylvester's identity, so the division is exact (Bareiss, Math.
+    Comp. 22 (1968)).  At the end every pivot row carries the last pivot d
+    on its pivot entry and 0 on the other pivot columns."""
+    piv_cols, prev = [], 1
+    for c in range(len(a[0])):
+        r = len(piv_cols)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = m.domain.one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and not scalar_is_zero(a[i][c]):
-                t = a[i][c]
-                a[i] = [x - t * y for x, y in zip(a[i], a[r])]
+        if p:
+            inv = pow(a[r][c], -1, p)
+            a[r] = [x * inv % p for x in a[r]]
+        row = a[r]
+        piv = row[c]
+        for i, other in enumerate(a):
+            t = other[c]
+            if i == r or (p and not t):
+                continue
+            if p:
+                a[i] = [(x - t * y) % p for x, y in zip(other, row)]
+            else:
+                a[i] = [(piv * x - t * y) // prev for x, y in zip(other, row)]
+        prev = piv
         piv_cols.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == len(a):
             break
-    return Mat(m.domain, a), piv_cols
+    return piv_cols, prev
 
 
 def nullspace(m: Mat) -> List[Tuple]:
@@ -394,12 +431,18 @@ def nullspace(m: Mat) -> List[Tuple]:
     is injective on columns.  Derived from the reduced echelon form, so the
     result is deterministic.
     """
-    red, piv_cols = rref(m)
-    dom = m.domain
-    free = [c for c in range(m.cols) if c not in piv_cols]
+    return _kernel_basis(*rref(m))
+
+
+def _kernel_basis(red: Mat, piv_cols: List[int]) -> List[Tuple]:
+    """The nullspace basis read off a reduced echelon form and its pivot
+    columns: per free column, 1 there and minus that column at the pivots."""
+    dom = red.domain
     basis = []
-    for fc in free:
-        v = [dom.zero] * m.cols
+    for fc in range(red.cols):
+        if fc in piv_cols:
+            continue
+        v = [dom.zero] * red.cols
         v[fc] = dom.one
         for r, pc in enumerate(piv_cols):
             v[pc] = -red.entries[r][fc]
@@ -438,6 +481,43 @@ def mat_inverse(m: Mat) -> Mat:
     if not _products_agree((m, inv), (Mat.identity(dom, n),)):
         raise VerificationError("M * inverse(M) must be the identity")
     return inv
+
+
+# ---------------------------------------------------------------------------
+# Scalar matrices as integer rows
+
+
+def _int_rows(m: Mat):
+    """(rows, den) with m = rows / den for a matrix over Q, Z or GF(p): over
+    Q the numerators over the lcm den of every denominator, over Z the
+    entries, over GF(p) the residues in [0, p); den is 1 outside Q."""
+    dom = m.domain
+    if isinstance(dom, RationalField):
+        flat, den = _cleared([e for row in m.entries for e in row])
+        return _rows(flat, m.cols), den
+    if dom.characteristic:
+        return [[e.v for e in row] for row in m.entries], 1
+    return list(m.entries), 1
+
+
+def _cleared(values) -> Tuple[list, int]:
+    """(numerators, den) for a sequence of Fractions: den the lcm of their
+    denominators, each value times den."""
+    pairs = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _from_int_rows(dom, rows, den: int) -> Mat:
+    """The matrix rows / den over Q, Z or GF(p), from integer rows; den is 1
+    outside Q, and over GF(p) each entry is reduced modulo p."""
+    if isinstance(dom, RationalField):
+        data = (tuple(Fraction(x, den) for x in row) for row in rows)
+    elif p := dom.characteristic:
+        data = (tuple(GFElement(p, x) for x in row) for row in rows)
+    else:
+        data = map(tuple, rows)
+    return Mat._raw(dom, tuple(data))
 
 
 # ---------------------------------------------------------------------------

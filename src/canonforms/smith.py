@@ -46,10 +46,11 @@ from .matrix import (
     PolynomialRing,
     ShapeError,
     _linear_pencil,
+    _kernel_basis,
     _products_agree,
     det,
     k_minors,
-    nullspace,
+    rref,
 )
 
 
@@ -505,16 +506,25 @@ def _nested_kernels(a: Mat, base: Poly, mult: int):
     characteristic polynomial, and K_j = ker M^j as a nullspace basis,
     taken until dim K_m = mult d.
 
+    No power of M is formed.  With R_j the nonzero rows of the reduced
+    echelon form at level j, K_j = ker R_j, so K_(j+1) = {v : M v in K_j}
+    = ker R_j M: each level reduces a rank(M^j) x n product.  It is the
+    subspace ker M^(j+1), so it has the same reduced echelon form and the
+    same basis.
+
     The nullity steps (dim K_j - dim K_(j-1)) / d count the blocks of size
     at least j.  They must be whole, nonincreasing and positive, and sum to
     mult; otherwise VerificationError is raised (an explicit raise, so the
     check also holds under ``python -O``)."""
     d, full = base.degree, mult * base.degree
     m = _poly_at(a, base)
-    power, kernels = m, [nullspace(m)]
+    red, piv_cols = rref(m)
+    kernels = [_kernel_basis(red, piv_cols)]
     while len(kernels[-1]) < full and len(kernels) < mult:
-        power = power * m
-        kernels.append(nullspace(power))
+        # R_j keeps one zero row when M^j = 0: a matrix has a row
+        rows = red.submatrix(range(max(1, len(piv_cols))), range(red.cols))
+        red, piv_cols = rref(rows * m)
+        kernels.append(_kernel_basis(red, piv_cols))
     dims = [0] + [len(k) for k in kernels]
     steps = [y - x for x, y in zip(dims, dims[1:])]
     if (dims[-1] != full or any(s <= 0 or s % d for s in steps)

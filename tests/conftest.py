@@ -122,6 +122,61 @@ def unimodular_inverse(m: Mat) -> Mat:
     raise DomainError("unimodular_inverse expects Z or F[x] entries")
 
 
+# The element-by-element Gauss-Jordan elimination and product that
+# ``matrix.rref`` and ``Mat.__mul__`` ran before they moved to integer rows,
+# kept as the oracles of that kernel.
+
+
+def rref_by_elements(m: Mat):
+    """(reduced row echelon form, pivot columns) over a field, one scalar
+    operation at a time."""
+    if not m.domain.is_field:
+        raise DomainError("rref requires a field domain")
+    a = [list(row) for row in m.entries]
+    rows, cols = m.rows, m.cols
+    piv_cols = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if not scalar_is_zero(a[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = m.domain.one / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and not scalar_is_zero(a[i][c]):
+                t = a[i][c]
+                a[i] = [x - t * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    return Mat(m.domain, a), piv_cols
+
+
+def product_by_elements(a: Mat, b: Mat) -> Mat:
+    """A B, one scalar product at a time."""
+    if a.cols != b.rows:
+        raise ShapeError("shape mismatch in multiplication")
+    oc = list(zip(*b.entries))
+    z = a.domain.zero
+    out = []
+    for r in a.entries:
+        new = []
+        for c in oc:
+            acc = z
+            for x, y in zip(r, c):
+                if not scalar_is_zero(x) and not scalar_is_zero(y):
+                    acc = acc + x * y
+            new.append(acc)
+        out.append(tuple(new))
+    return Mat(a.domain, out)
+
+
 # The Smith-route transform engine, kept as the oracle of the kernel route:
 # one tracked reduction U (xI - A) V = S, where column k of U^{-1} (column k
 # of (xI - A) V divided by d_k) has a value at A that generates a cyclic

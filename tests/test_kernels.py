@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonforms.canonical as canonical
-from canonforms.algebra import GF, Poly, QQ, VerificationError, scalar_is_zero
+from canonforms.algebra import GF, Poly, QQ, VerificationError, factor, scalar_is_zero
 from canonforms.canonical import (
     companion,
     hypercompanion,
@@ -23,7 +23,7 @@ from canonforms.canonical import (
     rational_canonical_form,
     similar,
 )
-from canonforms.matrix import Mat, det, mat_inverse
+from canonforms.matrix import Mat, det, mat_inverse, nullspace
 from canonforms.smith import (
     _char_poly,
     _ledger,
@@ -149,6 +149,63 @@ def test_kernel_nullities_count_the_blocks():
     assert m == a * a + Mat.identity(dom, 8)
     assert [len(k) for k in kernels] == [6, 8]
     assert exps == [2, 1, 1]
+
+
+def _power_route(m: Mat, levels: int):
+    """nullspace(M^j) for j = 1..levels, each power formed and reduced
+    from scratch."""
+    out, power = [], m
+    for _ in range(levels):
+        out.append(nullspace(power))
+        power = power * m
+    return out
+
+
+def _incremental_cases():
+    out = []
+    for dom in (QQ, GF(101)):
+        # eigenvalue 2 in blocks 3, 1, 1: the nullity jumps by 3 > d = 1
+        blocks = [jordan_block(dom, 2, 3), jordan_block(dom, -1, 2),
+                  jordan_block(dom, 2, 1), jordan_block(dom, 2, 1)]
+        out.append((dom, Poly(dom, [-2, 1]), blocks, [3, 4, 5]))
+    for dom in (QQ, GF(3)):
+        # x^2 + 1 with exponents 2, 1, 1: the nullity jumps by 6 > d = 2
+        p = Poly(dom, [1, 0, 1])
+        blocks = [hypercompanion(p, 2), jordan_block(dom, 1, 1), companion(p), companion(p)]
+        out.append((dom, p, blocks, [6, 8]))
+    f2 = GF(2)
+    p = Poly(f2, [1, 1, 1])
+    out.append((f2, p, [companion(p), hypercompanion(p, 2), jordan_block(f2, 1, 2)], [4, 6]))
+    return out
+
+
+@pytest.mark.parametrize("dom,base,blocks,nullities", _incremental_cases(),
+                         ids=["Q-linear", "GF101-linear", "Q-quadratic", "GF3-quadratic",
+                              "GF2-quadratic"])
+def test_incremental_kernels_equal_the_power_route(dom, base, blocks, nullities):
+    b = Mat.block_diagonal(dom, blocks)
+    n = b.rows
+    a = _conjugate(b, [(i, (i + 1) % n, 1) for i in range(n)] + [(2, 0, -1), (n - 1, 1, 2)])
+    m, kernels, _ = _nested_kernels(a, base, nullities[-1] // base.degree)
+    power, value = Mat.identity(dom, n), Mat.zero(dom, n, n)
+    for c in base.coeffs:
+        value, power = value + power * c, power * a
+    assert m == value
+    assert [len(k) for k in kernels] == nullities
+    assert kernels == _power_route(m, len(kernels))
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_incremental_kernels_equal_the_power_route_on_block_matrices(field):
+    @settings(max_examples=30, deadline=None)
+    @given(block_matrices(FIELDS[field]))
+    def check(ab):
+        a = ab[0]
+        for term in factor(_char_poly(a)):
+            m, kernels, _ = _nested_kernels(a, term.base, term.exponent)
+            assert kernels == _power_route(m, len(kernels))
+
+    check()
 
 
 def test_too_few_generators_raise():
