@@ -9,16 +9,19 @@ One engine builds every transform over the base field, on Jordan's route:
 the characteristic polynomial (by Hessenberg reduction) is factored once,
 and for each irreducible base p of degree d the nested kernels
 K_j = ker p(A)^j count its blocks (``smith._nested_kernels``).  At each level
-e, largest first, a generator z is picked in K_e outside the span of
-K_(e-1), p(A) K_(e+1) and the orbits z, A z, ..., A^(d-1) z of the picks
-already made at that level, so the picks stay independent over F[x]/(p).
+e, largest first, the generators are pivot columns of one ``rref``: its
+columns are K_(e-1), p(A) K_(e+1) and, for each basis vector z of K_e, the
+orbit z, A z, ..., A^(d-1) z, taken only until they span K_e, and a z is
+picked when its own column is a pivot.  Whole orbits come in or stay out
+together, so the picks stay independent over F[x]/(p) (Steel, J. Symbolic
+Comput. 24 (1997)).
 Krylov chains from these generators are the columns of the primary and
 Jordan transforms; the generator of an invariant factor d_k is the sum of
 its primary generators, whose orders are coprime, and ``similar`` composes
-two rational transforms as T_A T_B^{-1}.  Every transform is checked as
-A T = T F with det T != 0 by explicit raises; no check inverts, and
-A T = T F is decided by one packed-integer product per side
-(``matrix._products_agree``).
+two rational transforms as T_A T_B^{-1}.  Every transform is checked by
+explicit raises: T has full rank (n pivots in ``rref``), and A T = T F is
+decided by one packed-integer product per side
+(``matrix._products_agree``); no check inverts.
 
 No call here reduces anything over F[x]: the Smith form of xI - A is left
 to the ``smith`` and ``verify`` commands and to the pencil divisors.  What
@@ -34,17 +37,18 @@ import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     DomainError,
     Poly,
+    RationalField,
     VerificationError,
     factor,
-    scalar_is_zero,
     scalar_key,
 )
-from .matrix import Mat, ShapeError, _products_agree, det, mat_inverse
+from .matrix import Mat, ShapeError, _cleared, _products_agree, mat_inverse, rref
 from .smith import _char_poly, _nested_kernels
 
 
@@ -78,7 +82,7 @@ class CanonicalResult:
     block descriptors in assembly order: invariant-factor polynomials for the
     rational form, (irreducible base, exponent) pairs for the primary form,
     (eigenvalue, size) pairs for the Jordan form.  ``verified`` is set only
-    after the exact checks A * T == T * matrix and det(T) != 0.  Every block
+    after the exact checks A * T == T * matrix and rank T = n.  Every block
     comes from a complete factorization over the base field.
     """
 
@@ -160,23 +164,19 @@ def _kernels(a: Mat, terms):
     return [(t.base, *_nested_kernels(a, t.base, t.exponent)) for t in terms]
 
 
-def _column(dom, v) -> Mat:
-    return Mat._raw(dom, tuple((x,) for x in v))
+def _columns(dom, vectors) -> Mat:
+    """The matrix whose columns are the given vectors."""
+    return Mat._raw(dom, tuple(zip(*vectors)))
 
 
-def _extend(basis: list, v, dom) -> bool:
-    """Add v to the echelon basis [(pivot, row)] and return True, unless v
-    lies in its span."""
-    for piv, row in basis:
-        c = v[piv]
-        if not scalar_is_zero(c):
-            v = [x - c * y for x, y in zip(v, row)]
-    piv = next((i for i, x in enumerate(v) if not scalar_is_zero(x)), None)
-    if piv is None:
-        return False
-    inv = dom.one / v[piv]
-    basis.append((piv, [x * inv for x in v]))
-    return True
+def _pivots(dom, cols) -> set:
+    """The pivot columns of the matrix with these columns.  Scaling a column
+    keeps the pivots, so over Q each column is first cleared of its
+    denominators: ``rref`` clears whole rows, and across a row they grow
+    with the power of A that made each column."""
+    if isinstance(dom, RationalField):
+        cols = [tuple(map(Fraction, _cleared(c)[0])) for c in cols]
+    return set(rref(_columns(dom, cols))[1])
 
 
 def _generators(a: Mat, base: Poly, m: Mat, kernels, exps):
@@ -185,37 +185,49 @@ def _generators(a: Mat, base: Poly, m: Mat, kernels, exps):
     minimal polynomial base^e; together the summands are A's base-primary
     component.
 
-    At level e each pick avoids the span of K_(e-1), M K_(e+1) and the
-    orbits z, A z, ..., A^(d-1) z of the picks already made at that level.
-    That quotient is a vector space over F[x]/(base), and adding whole
-    orbits is what keeps the picks independent over it when d > 1."""
+    At level e the picks are read off the pivot columns of one matrix: its
+    columns are K_(e-1), M K_(e+1) and, for each basis vector z of K_e, the
+    orbit z, A z, ..., A^(d-1) z, and z is picked when its own column is a
+    pivot.  Since M K_e lies in K_(e-1), each orbit adds an A-invariant
+    span: a z that is not picked lies in the span of the columns before it,
+    and so does its whole orbit.  So the picks avoid K_(e-1), M K_(e+1) and
+    the orbits of the earlier picks, and stay independent over the
+    quotient, a vector space over F[x]/(base), also when d > 1.
+
+    Every column lies in K_e, so once the pivots number dim K_e no later
+    column is a pivot.  One ``rref`` therefore takes the orbits of the first
+    ceil(dim K_e / d) basis vectors, at most dim K_e + d - 1 columns and all
+    of K_e when d = 1, and the count doubles only while the rank falls
+    short.  A dense A, whose characteristic polynomial is one base of degree
+    n, reduces one Krylov orbit rather than n^2 columns.
+    """
     dom, d = a.domain, base.degree
     need = Counter(exps)
     picks = []
     for e in range(len(kernels), 0, -1):
         if not need[e]:
             continue
-        span: list = []
-        for v in kernels[e - 2] if e > 1 else ():
-            _extend(span, v, dom)
-        for v in kernels[e] if e < len(kernels) else ():
-            _extend(span, (m * _column(dom, v)).col(0), dom)
-        found = 0
-        for v in kernels[e - 1]:
-            if found == need[e]:
-                break
-            if not _extend(span, v, dom):
-                continue
-            z = _column(dom, v)
-            picks.append((e, z))
-            found += 1
+        prefix = list(kernels[e - 2]) if e > 1 else []
+        if e < len(kernels):
+            prefix.extend(zip(*(m * _columns(dom, kernels[e])).entries))
+        basis = kernels[e - 1]
+        count = -(-len(basis) // d)
+        while True:
+            powers = [_columns(dom, basis[:count])]
             for _ in range(d - 1):
-                z = a * z
-                _extend(span, z.col(0), dom)
-        if found != need[e]:
+                powers.append(a * powers[-1])
+            orbits = zip(*(zip(*p.entries) for p in powers))   # z, A z, ..., A^(d-1) z
+            pivots = _pivots(dom, prefix + [c for orbit in orbits for c in orbit])
+            if len(pivots) == len(basis) or count >= len(basis):
+                break
+            count *= 2
+        heads = range(len(prefix), len(prefix) + d * powers[0].cols, d)
+        found = [_columns(dom, [z]) for z, h in zip(basis, heads) if h in pivots]
+        if len(found) != need[e]:
             raise VerificationError(
                 f"kernel generators of ({base.render(compact=True)})(A): "
-                f"{found} at level {e}, {need[e]} expected")
+                f"{len(found)} at level {e}, {need[e]} expected")
+        picks.extend((e, z) for z in found)
     return picks
 
 
@@ -238,12 +250,13 @@ def _krylov_transform(a: Mat, pieces) -> Mat:
                 h = chain[-1]
             chain.append(a * chain[-1] + h * base.coeff(i % d))
         cols.extend(reversed(chain))
-    return Mat._raw(a.domain, tuple(zip(*(c.col(0) for c in cols))))
+    return _columns(a.domain, (c.col(0) for c in cols))
 
 
 def _checked(a: Mat, t: Mat, f: Mat) -> Mat:
-    """T, once det T != 0 and A T = T F hold exactly."""
-    if scalar_is_zero(det(t)):
+    """T, once T has full rank (n pivots in its reduced echelon form) and
+    A T = T F hold exactly."""
+    if len(rref(t)[1]) != t.rows:
         raise VerificationError("transform degenerated: det T = 0")
     if not _products_agree((a, t), (t, f)):
         raise VerificationError("transform fails A T = T F")
@@ -361,7 +374,7 @@ def jordan_to_eldiv(structure: JordanStructure, dom) -> List[Tuple[Poly, int]]:
 
 def similar(a: Mat, b: Mat) -> Tuple[bool, Optional[Mat]]:
     """Decide similarity; on success also return a witness T with
-    inverse(T) * A * T == B, checked as A T = T B with det T != 0.
+    inverse(T) * A * T == B, checked as A T = T B with rank T = n.
 
     Unequal characteristic polynomials answer NOT SIMILAR before any kernel
     is computed; otherwise the block exponents from the nullities decide,

@@ -45,10 +45,10 @@ from .algebra import (
     QQ,
     RootInterval,
     VerificationError,
+    factor,
 )
 from .canonical import (
     SplitFieldRequired,
-    _factors,
     _jordan_form,
     _kernels,
     _primary,
@@ -73,6 +73,7 @@ from .pencil import (
     pencil_equivalent,
 )
 from .smith import (
+    _char_poly,
     _divisor_str,
     _kernel_ledger,
     _ledger,
@@ -619,8 +620,9 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     rng = random.Random(args.seed)
     checks: List[Tuple[str, bool]] = []
 
-    # the Smith reduction of xI - A gives Kronecker's ledger; the nested
-    # kernels over the base field give Jordan's, and all three forms.
+    # the Smith reduction of xI - A gives Kronecker's ledger; the Hessenberg
+    # characteristic polynomial and the nested kernels over the base field
+    # give Jordan's, and all three forms.
     # smith_form has proved U (xI - A) V = S and d_k | d_(k+1), or raised
     x_mat = char_matrix(a)
     u, s, v = smith_form(x_mat)
@@ -632,11 +634,11 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     diag = tuple(s.entries[i][i] for i in range(s.rows))
 
     dd = _ledger(a, diag)
+    chi = _char_poly(a)
     prod = Poly.one(a.domain)
     for f in dd.invariant_factors:
         prod = prod * f
-    checks.append(("product of invariant factors = char poly",
-                   prod == det(x_mat)))
+    checks.append(("product of invariant factors = char poly", prod == chi))
     if a.rows <= 5:
         oracle = gcd_minors_chain(x_mat, cap=5)
         checks.append(("gcd-of-minors oracle matches Smith chain",
@@ -644,7 +646,7 @@ def _cmd_verify(args) -> Tuple[int, _Report]:
     else:
         rep.say(f"note: minor-enumeration oracle skipped (n = {a.rows} > 5)")
 
-    kernels = _kernels(a, _factors(a))
+    kernels = _kernels(a, factor(chi))
     primary = _primary(a, kernels)
     rcf = _rational_form(a, primary)
     checks.append(("rational form transform", rcf.verified))

@@ -13,7 +13,14 @@ degenerate.
 
 A report computes each intermediate once: K - s M (the x P + Q builder of
 matrix.py), its determinant, one root analysis, and at most one polynomial
-adjugate column (n cofactors), shared by every irrational root.
+adjugate column (n cofactors), shared by every irrational root.  An exact
+root with a one-dimensional eigenspace computes one cofactor column, at the
+first nonzero entry of its kernel vector.
+
+The inertia of a symmetric matrix comes from Descartes' rule of signs on its
+characteristic polynomial (``smith._char_poly``), which is exact because
+that polynomial is real-rooted; the leading principal-minor quotients, when
+they apply, must give the same counts.
 
 Two stability verdicts are reported side by side: the 1766 trichotomy that
 demotes every repeated root to conditional stability, and the 1858 criterion
@@ -39,9 +46,9 @@ from .algebra import (
     _split_linear,
     _sturm_chain,
     factor,
-    scalar_is_zero,
 )
 from .matrix import Mat, ShapeError, _adjugate_column, _linear_pencil, det, nullspace
+from .smith import _char_poly
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,11 @@ def eigvec_adjugate(sys: OscSystem, root) -> AdjugateEigenvector:
 
     Raises ValueError when the argument is not a root.  The returned vector
     satisfies (K - s M) v = 0 exactly.  adj(K - s M) vanishes exactly when
-    the eigenspace has dimension two or more, so its columns are computed
-    only for a one-dimensional eigenspace, in order up to the first nonzero.
+    the eigenspace has dimension two or more, so a column is computed only
+    for a one-dimensional eigenspace.  There K - s M is symmetric of rank
+    n - 1 with kernel vector v, so adj(K - s M) = c v v^T with c != 0, and
+    its first nonzero column sits at the first nonzero entry of v: that one
+    column is computed.
     """
     s = Fraction(root)
     w = sys.stiffness - sys.mass * s
@@ -113,15 +123,12 @@ def eigvec_adjugate(sys: OscSystem, root) -> AdjugateEigenvector:
     basis = tuple(nullspace(w))
     if not basis:
         raise VerificationError("a characteristic root must have an eigenvector")
-    if len(basis) == 1:
-        for j in range(w.cols):
-            column = _adjugate_column(w, j)
-            if any(not scalar_is_zero(c) for c in column):
-                if _apply(w, column) != (Fraction(0),) * w.rows:
-                    raise VerificationError("adjugate column is not in the kernel")
-                return AdjugateEigenvector(vector=column, degenerate=False,
-                                           basis=basis)
-    return AdjugateEigenvector(vector=basis[0], degenerate=True, basis=basis)
+    if len(basis) > 1:
+        return AdjugateEigenvector(vector=basis[0], degenerate=True, basis=basis)
+    column = _adjugate_column(w, next(j for j, x in enumerate(basis[0]) if x != 0))
+    if all(c == 0 for c in column) or _apply(w, column) != (Fraction(0),) * w.rows:
+        raise VerificationError("adjugate column must be a nonzero kernel vector")
+    return AdjugateEigenvector(vector=column, degenerate=False, basis=basis)
 
 
 def _apply(m: Mat, v: Sequence) -> Tuple:
@@ -140,10 +147,14 @@ def adjugate_column_polynomials(sys: OscSystem, column: int = 0) -> Tuple[Poly, 
 class InertiaResult:
     """Signature of a symmetric rational form.
 
+    The counts come from Descartes' rule of signs on the characteristic
+    polynomial chi, which is exact because chi is real-rooted: positive
+    eigenvalues are the sign changes of chi's coefficients, negative ones
+    those of chi(-x), and the zero count is the multiplicity of the root 0.
     ``quotient_diagonal`` carries the principal-minor quotients when every
     leading principal minor through order n - 1 is nonzero (the closed-form
-    diagonalization); otherwise it is None and the counts come from exact
-    symmetric congruence elimination.  Both paths agree wherever both apply.
+    diagonalization), and their signs must give the same counts; otherwise
+    it is None.
     """
 
     positive: int
@@ -172,77 +183,26 @@ def inertia(k: Mat) -> InertiaResult:
             quotients.append(m / prev)
             prev = m if m != 0 else prev
         quotients = tuple(quotients)
-    pos, neg, zero = _congruence_signature(k)
+    # chi is real-rooted, so Descartes' rule of signs counts exactly; zero
+    # coefficients are skipped, so chi's factor x^zero changes no count
+    chi = _char_poly(k).coeffs
+    zero = next(i for i, c in enumerate(chi) if c != 0)
+    pos = _sign_changes(chi)
+    neg = _sign_changes(-c if i % 2 else c for i, c in enumerate(chi))
+    if pos + neg + zero != n:
+        raise VerificationError("Descartes counts must sum to n")
     if quotients is not None:
         qp = sum(1 for q in quotients if q > 0)
         qn = sum(1 for q in quotients if q < 0)
         qz = sum(1 for q in quotients if q == 0)
         if (qp, qn, qz) != (pos, neg, zero):
-            raise VerificationError("quotient and elimination signatures disagree")
+            raise VerificationError("quotient and Descartes signatures disagree")
     return InertiaResult(pos, neg, zero, quotients)
 
 
-def _congruence_signature(k: Mat) -> Tuple[int, int, int]:
-    """Exact symmetric congruence elimination with diagonal pivoting.
-
-    When a zero diagonal blocks progress, a recorded symmetric shuffle
-    brings a nonzero diagonal entry forward; if the whole remaining diagonal
-    vanishes, a symmetric row+column addition manufactures one (valid over Q
-    where 2 is invertible).
-    """
-    a = [list(row) for row in k.entries]
-    n = len(a)
-    pos = neg = zero = 0
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_into(i, j):
-        # row_i += row_j, col_i += col_j
-        a[i] = [x + y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] = row[i] + row[j]
-
-    for t in range(n):
-        if a[t][t] == 0:
-            found = None
-            for i in range(t + 1, n):
-                if a[i][i] != 0:
-                    found = i
-                    break
-            if found is not None:
-                swap(t, found)
-            else:
-                off = None
-                for i in range(t, n):
-                    for j in range(i + 1, n):
-                        if a[i][j] != 0:
-                            off = (i, j)
-                            break
-                    if off:
-                        break
-                if off is None:
-                    zero += n - t
-                    break
-                i, j = off
-                add_into(i, j)   # diagonal entry becomes 2*a[i][j]
-                if i != t:
-                    swap(t, i)
-        p = a[t][t]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            f = a[i][t] / p
-            if f != 0:
-                # congruence by I - f e_t e_i^T: row then column
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-                for r in range(n):
-                    a[r][i] = a[r][i] - f * a[r][t]
-    return pos, neg, zero
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 # ---------------------------------------------------------------------------

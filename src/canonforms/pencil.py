@@ -32,7 +32,15 @@ from .algebra import (
     scalar_is_zero,
 )
 from .canonical import hypercompanion, jordan_block, similar
-from .matrix import Mat, ShapeError, _linear_pencil, _products_agree, det, mat_inverse
+from .matrix import (
+    Mat,
+    ShapeError,
+    SingularMatrixError,
+    _linear_pencil,
+    _products_agree,
+    det,
+    mat_inverse,
+)
 from .smith import _divisor_str, smith_diagonal
 
 
@@ -279,17 +287,15 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
         return inv1.multiset() == inv2.multiset(), None
     # Invertible parameter substitution applied to both pencils: the witness
     # of the substituted pair is exactly the witness of the original pair.
-    (alpha, gamma), (beta, delta) = shift
-    p1 = pc1.p * alpha + pc1.q * gamma
+    ((alpha, gamma), (beta, delta)), p1_inv, p2_inv = shift
     q1 = pc1.p * beta + pc1.q * delta
-    p2 = pc2.p * alpha + pc2.q * gamma
     q2 = pc2.p * beta + pc2.q * delta
-    p1_inv = mat_inverse(p1)
-    ok, k = similar(p1_inv * q1, mat_inverse(p2) * q2)
+    ok, k = similar(p1_inv * q1, p2_inv * q2)
     if not ok:
         return False, None
-    # H^T = P2 K^{-1} P1^{-1}:  H^T (u P1 + v Q1) K = u P2 + v Q2
-    ht = p2 * mat_inverse(k) * p1_inv
+    # H^T = P2 K^{-1} P1^{-1}:  H^T (u P1 + v Q1) K = u P2 + v Q2, where
+    # P_i = alpha P + gamma Q of pencil i
+    ht = (pc2.p * alpha + pc2.q * gamma) * mat_inverse(k) * p1_inv
     if not (_products_agree((ht, pc1.p, k), (pc2.p,))
             and _products_agree((ht, pc1.q, k), (pc2.q,))):
         raise VerificationError("pencil witness failed verification")
@@ -297,13 +303,15 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
 
 
 def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
-    """An invertible parameter substitution (alpha, gamma; beta, delta) whose
-    leading member alpha P + gamma Q is invertible for both pencils.
+    """(shift, P1^{-1}, P2^{-1}) for an invertible parameter substitution
+    shift = ((alpha, gamma), (beta, delta)) whose leading member
+    P_i = alpha P + gamma Q is invertible for both pencils, or None.
 
     det(P + c Q) is a nonzero polynomial in c of degree <= n for a regular
     pencil, so at most 2n values of c fail for the pair, and the first
     2n + 1 values tried hold a working shift: c = 0, 1, -1, ..., n, -n over
-    Q, and the residues 0 .. 2n over GF(p) whenever p > 2n."""
+    Q, and the residues 0 .. 2n over GF(p) whenever p > 2n.  Each candidate
+    is tried by inverting its leading members, the first pencil's first."""
     dom = pc1.domain
     n = pc1.size
     if isinstance(dom, RationalField):
@@ -313,13 +321,13 @@ def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
     leading = [(dom.one, dom.coerce(c)) for c in shifts]
     leading.append((dom.zero, dom.one))
     for alpha, gamma in leading:
-        m1 = pc1.p * alpha + pc1.q * gamma
-        m2 = pc2.p * alpha + pc2.q * gamma
-        if not scalar_is_zero(det(m1)) and not scalar_is_zero(det(m2)):
-            # a complement independent of (alpha, gamma)
-            if scalar_is_zero(gamma):
-                return (alpha, gamma), (dom.zero, dom.one)
-            return (alpha, gamma), (dom.one, dom.zero)
+        try:
+            inverses = tuple(mat_inverse(pc.p * alpha + pc.q * gamma) for pc in (pc1, pc2))
+        except SingularMatrixError:
+            continue
+        # a complement independent of (alpha, gamma)
+        complement = (dom.zero, dom.one) if scalar_is_zero(gamma) else (dom.one, dom.zero)
+        return ((alpha, gamma), complement), *inverses
     return None
 
 

@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from canonforms.algebra import QQ, DomainError, IntegerRing, Poly, PrimeField, scalar_is_zero
+from canonforms.algebra import (
+    QQ,
+    DomainError,
+    IntegerRing,
+    Poly,
+    PrimeField,
+    VerificationError,
+    scalar_is_zero,
+)
 from canonforms.canonical import _block_sort_key, _checked, _krylov_transform, hypercompanion
 from canonforms.matrix import Mat, PolynomialRing, ShapeError, SingularMatrixError, det
 from canonforms.smith import _ledger, char_matrix, smith_form
@@ -223,6 +231,112 @@ def smith_route_form(a: Mat, kind: str):
                   for _, k, base, e in sorted(keyed, key=lambda t: t[:2])]
     form = Mat.block_diagonal(a.domain, [hypercompanion(b, e) for b, e, _ in pieces])
     return form, _checked(a, _krylov_transform(a, pieces), form)
+
+
+# The generator picking and the inertia elimination that ``canonical`` and
+# ``oscillations`` ran before picks became pivot columns of one ``rref`` per
+# level and inertia came from Descartes' rule on the characteristic
+# polynomial, kept as the oracles of those routes.
+
+
+def _extend(basis: list, v, dom) -> bool:
+    """Add v to the echelon basis [(pivot, row)] and return True, unless v
+    lies in its span."""
+    for piv, row in basis:
+        c = v[piv]
+        if not scalar_is_zero(c):
+            v = [x - c * y for x, y in zip(v, row)]
+    piv = next((i for i, x in enumerate(v) if not scalar_is_zero(x)), None)
+    if piv is None:
+        return False
+    inv = dom.one / v[piv]
+    basis.append((piv, [x * inv for x in v]))
+    return True
+
+
+def generators_by_extension(a: Mat, base: Poly, m: Mat, kernels, exps):
+    """[(e, z)] as ``canonical._generators`` returns them: at level e each
+    pick avoids the span of K_(e-1), M K_(e+1) and the orbits of the picks
+    already made, grown one vector at a time."""
+    dom, d = a.domain, base.degree
+    need = Counter(exps)
+    picks = []
+    for e in range(len(kernels), 0, -1):
+        if not need[e]:
+            continue
+        span: list = []
+        for v in kernels[e - 2] if e > 1 else ():
+            _extend(span, v, dom)
+        for v in kernels[e] if e < len(kernels) else ():
+            _extend(span, (m * Mat(dom, [[x] for x in v])).col(0), dom)
+        found = 0
+        for v in kernels[e - 1]:
+            if found == need[e]:
+                break
+            if not _extend(span, v, dom):
+                continue
+            z = Mat(dom, [[x] for x in v])
+            picks.append((e, z))
+            found += 1
+            for _ in range(d - 1):
+                z = a * z
+                _extend(span, z.col(0), dom)
+        if found != need[e]:
+            raise VerificationError(f"{found} generators at level {e}, {need[e]} expected")
+    return picks
+
+
+def congruence_signature(k: Mat):
+    """(positive, negative, zero) of a symmetric rational matrix by exact
+    symmetric congruence elimination with diagonal pivoting.
+
+    When a zero diagonal blocks progress, a symmetric swap brings a nonzero
+    diagonal entry forward; if the whole remaining diagonal vanishes, a
+    symmetric row+column addition manufactures one (valid over Q, where 2
+    is invertible)."""
+    a = [list(row) for row in k.entries]
+    n = len(a)
+    pos = neg = zero = 0
+
+    def swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    def add_into(i, j):
+        # row_i += row_j, col_i += col_j
+        a[i] = [x + y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = row[i] + row[j]
+
+    for t in range(n):
+        if a[t][t] == 0:
+            found = next((i for i in range(t + 1, n) if a[i][i] != 0), None)
+            if found is not None:
+                swap(t, found)
+            else:
+                off = next(((i, j) for i in range(t, n) for j in range(i + 1, n)
+                            if a[i][j] != 0), None)
+                if off is None:
+                    zero += n - t
+                    break
+                i, j = off
+                add_into(i, j)   # diagonal entry becomes 2*a[i][j]
+                if i != t:
+                    swap(t, i)
+        p = a[t][t]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(t + 1, n):
+            f = a[i][t] / p
+            if f != 0:
+                # congruence by I - f e_t e_i^T: row then column
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+                for r in range(n):
+                    a[r][i] = a[r][i] - f * a[r][t]
+    return pos, neg, zero
 
 
 def chain3():

@@ -33,6 +33,8 @@ from canonforms.smith import (
     smith_diagonal,
 )
 
+from conftest import generators_by_extension
+
 FIELDS = {"Q": QQ, "GF2": GF(2), "GF3": GF(3), "GF101": GF(101)}
 
 
@@ -204,6 +206,44 @@ def test_incremental_kernels_equal_the_power_route_on_block_matrices(field):
         for term in factor(_char_poly(a)):
             m, kernels, _ = _nested_kernels(a, term.base, term.exponent)
             assert kernels == _power_route(m, len(kernels))
+
+    check()
+
+
+@st.composite
+def repeated_base_matrices(draw, dom):
+    """(A, B): B block diagonal of hypercompanion blocks of one irreducible
+    monic base of degree 2 or 3, with exponents drawn with repeats and at
+    most 8 rows; A = P^{-1} B P for a drawn P, or B itself."""
+    degree = draw(st.integers(2, 3))
+    coeffs = st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)
+    base = draw(coeffs.map(lambda cs: Poly(dom, [dom.coerce(c) for c in cs] + [dom.one]))
+                .filter(lambda f: [t.exponent for t in factor(f)] == [1]
+                        and factor(f)[0].base == f))
+    exps = draw(st.lists(st.integers(1, 8 // degree), min_size=2, max_size=8 // degree)
+                .filter(lambda es: sum(es) * degree <= 8))
+    b = Mat.block_diagonal(dom, [hypercompanion(base, e) for e in exps])
+    n = b.rows
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.sampled_from((-2, -1, 1, 2))), max_size=3 * n)
+               if draw(st.booleans()) else st.just([]))
+    return _conjugate(b, ops), b
+
+
+@pytest.mark.parametrize("family", ["blocks", "repeated"])
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_generators_equal_the_extension_oracle(field, family):
+    # the pivot columns of one rref per level are exactly the picks of the
+    # vector-by-vector extension they replaced
+    matrices = block_matrices if family == "blocks" else repeated_base_matrices
+
+    @settings(max_examples=30, deadline=None)
+    @given(matrices(FIELDS[field]))
+    def check(ab):
+        a = ab[0]
+        for base, m, kernels, exps in canonical._kernels(a, factor(_char_poly(a))):
+            assert (canonical._generators(a, base, m, kernels, exps)
+                    == generators_by_extension(a, base, m, kernels, exps))
 
     check()
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canonforms.algebra import Poly, QQ, RootInterval
 from canonforms.matrix import Mat, nullspace
@@ -18,7 +20,7 @@ from canonforms.oscillations import (
     mode_report,
 )
 
-from conftest import chain3, proportional
+from conftest import chain3, congruence_signature, proportional
 
 X = Poly.x(QQ)
 I2 = Mat.identity(QQ, 2)
@@ -201,6 +203,32 @@ def test_inertia_quotient_and_elimination_agree_where_both_apply():
             continue
         # the asserted agreement ran inside inertia(); just count coverage
         seen += 1
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 5x5: dense entries with
+    denominators, a forced zero diagonal, or L^T D L of rank below n."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("dense", "zero diagonal", "low rank")))
+    if kind == "low rank":
+        r = draw(st.integers(0, n - 1))
+        ints = st.integers(-2, 2)
+        lo = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(r)]
+        d = draw(st.lists(ints, min_size=r, max_size=r))
+        return Mat(QQ, [[sum(lo[t][i] * d[t] * lo[t][j] for t in range(r))
+                         for j in range(n)] for i in range(n)])
+    entries = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    if kind == "zero diagonal":
+        upper.update({(i, i): 0 for i in range(n)})
+    return Mat(QQ, [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_inertia_equals_the_congruence_oracle(k):
+    assert inertia(k).signature == congruence_signature(k)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,9 @@ def test_first_nonzero_column_stops_the_scan(monkeypatch):
     _count(monkeypatch, osc, "_adjugate_column", calls)
     vec = osc.eigvec_adjugate(OscSystem(I3, Mat(QQ, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])), 2)
     assert vec.vector == (0, -1, 0) and not vec.degenerate
-    assert calls == {"_adjugate_column": 2}   # column 0 vanishes at s = 2
+    # adj = c v v^T: column 0 vanishes at s = 2, and v's first nonzero entry
+    # points straight at column 1
+    assert calls == {"_adjugate_column": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +205,18 @@ def test_empty_eigenspace_raises(monkeypatch):
 
 
 def test_signature_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(osc, "_congruence_signature", lambda k: (0, 0, k.rows))
-    with pytest.raises(VerificationError):
+    # chi = x^3 claims three zero eigenvalues against I's positive quotients
+    monkeypatch.setattr(osc, "_char_poly", lambda k: Poly.x(QQ) ** k.rows)
+    with pytest.raises(VerificationError, match="quotient and Descartes"):
         osc.inertia(I3)
+
+
+def test_descartes_shortfall_raises(monkeypatch):
+    # x^2 + 1 has no sign change on either side: 0 + 0 + 0 counts for n = 2,
+    # and no quotient diagonal exists to disagree with
+    monkeypatch.setattr(osc, "_char_poly", lambda k: Poly(QQ, (1, 0, 1)))
+    with pytest.raises(VerificationError, match="must sum to n"):
+        osc.inertia(Mat(QQ, [[0, 1], [1, 0]]))
 
 
 def test_multiplicity_shortfall_raises(monkeypatch):

@@ -17,7 +17,7 @@ from canonforms.algebra import (
     QQ,
     scalar_is_zero,
 )
-from canonforms.matrix import Mat, det
+from canonforms.matrix import Mat, det, mat_inverse
 from canonforms.pencil import (
     Pencil,
     PencilInvariants,
@@ -398,15 +398,16 @@ def test_gf2_pair_without_a_shift_decides_without_witness():
 
 
 def test_shift_search_over_q_stops_after_2n_plus_1_values(monkeypatch):
-    # the first pencil is singular, so every det(P + c Q) of it vanishes:
-    # c = 0, 1, -1, 2, -2, 3, -3 and then Q itself, one determinant each
+    # the first pencil is singular, so every P + c Q of it is singular:
+    # c = 0, 1, -1, 2, -2, 3, -3 and then Q itself, one inversion tried each
     n = 3
     singular = Pencil(Mat.zero(QQ, n, n), Mat.zero(QQ, n, n))
     regular = Pencil(Mat.identity(QQ, n), Mat.identity(QQ, n))
-    dets = []
-    monkeypatch.setattr(pencil, "det", lambda m: dets.append(m) or det(m))
+    tried = []
+    monkeypatch.setattr(pencil, "mat_inverse", lambda m: tried.append(m) or mat_inverse(m))
+    monkeypatch.setattr(pencil, "det", lambda m: pytest.fail("the shift search takes no det"))
     assert pencil._joint_regular_shift(singular, regular) is None
-    assert len(dets) == 2 * n + 2
+    assert len(tried) == 2 * n + 2
 
 
 def test_shift_search_over_q_reaches_its_last_value():
@@ -415,7 +416,22 @@ def test_shift_search_over_q_reaches_its_last_value():
     eye = Mat.identity(QQ, 2)
     pc1 = Pencil(Mat(QQ, [[0, 0], [0, -1]]), eye)
     pc2 = Pencil(Mat(QQ, [[1, 0], [0, -2]]), eye)
-    assert pencil._joint_regular_shift(pc1, pc2) == ((1, -2), (1, 0))
+    shift, p1_inv, p2_inv = pencil._joint_regular_shift(pc1, pc2)
+    assert shift == ((1, -2), (1, 0))
+    assert p1_inv == mat_inverse(pc1.p - eye * 2) and p2_inv == mat_inverse(pc2.p - eye * 2)
+
+
+def test_shift_search_inverses_serve_the_decision(monkeypatch):
+    # P is invertible at c = 0 for both pencils: the search inverts P1 and P2
+    # once, and the decision inverts only the similarity witness K
+    pc1 = Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]]))
+    pc2 = Pencil(Mat(QQ, [[1, 1], [0, 1]]), Mat(QQ, [[1, 3], [0, 2]]))
+    tried = []
+    monkeypatch.setattr(pencil, "mat_inverse", lambda m: tried.append(m) or mat_inverse(m))
+    monkeypatch.setattr(pencil, "det", lambda m: pytest.fail("the decision takes no det"))
+    ok, (h, k) = pencil_equivalent(pc1, pc2)
+    assert ok and h.transpose() * pc1.p * k == pc2.p and h.transpose() * pc1.q * k == pc2.q
+    assert tried[:2] == [pc1.p, pc2.p] and len(tried) == 3
 
 
 def _decide_by_divisors(pc1, pc2):

@@ -181,6 +181,38 @@ def test_kernel_count_check_survives_python_O(tmp_path):
     assert proc.stderr == line * 3
 
 
+# the generator picks with an rref that loses its last pivot: the pick-count
+# check must raise, also with assertions compiled out, and the CLI must exit
+# 3 with one line
+_LOST_PIVOT_SCRIPT = """
+import sys
+import canonforms.canonical as canonical
+import canonforms.cli as cli
+real = canonical.rref
+def lost_pivot(m):
+    red, piv_cols = real(m)
+    return red, piv_cols[:-1]
+canonical.rref = lost_pivot
+print("debug", __debug__)
+print("rcf exit", cli.run(["rcf", sys.argv[1]]))
+"""
+
+
+def test_generator_pick_check_survives_python_O(tmp_path):
+    path = tmp_path / "a.mat"
+    path.write_text("FIELD Q\nROWS 2 COLS 2\n1 1\n0 2\n", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LOST_PIVOT_SCRIPT, str(path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["debug False", "rcf exit 3"], proc.stdout
+    assert proc.stderr == ("internal check failed: kernel generators of (x-1)(A): "
+                           "0 at level 1, 1 expected\n")
+
+
 _PENCIL = Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]]))
 
 
