@@ -28,6 +28,7 @@ alone applies ``--no-transform``, to the text and to ``--json`` alike.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -786,11 +787,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call: parsing leaves a
+    parser unchanged, so one serves every call in a process."""
+    return build_parser()
+
+
 def run(argv: Optional[List[str]] = None, out=None) -> int:
     """Entry point; prints the report and returns the exit status."""
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         code, rep = args.fn(args)
     except SystemExit as exc:   # --help has printed its text
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK

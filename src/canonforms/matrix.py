@@ -346,21 +346,6 @@ def _exact_div(num, den, dom):
     return num / den
 
 
-def _adjugate_column(m: Mat, j: int) -> tuple:
-    """Column j of adj(M): the signed cofactors of row j of a square M
-    (n minors of order n - 1; adj of a 1x1 matrix is [1])."""
-    n = m.rows
-    if n == 1:
-        return (m.domain.one,)
-    idx = range(n)
-    rows = [x for x in idx if x != j]
-    out = []
-    for i in idx:
-        c = det(m.submatrix(rows, [x for x in idx if x != i]))
-        out.append(-c if (i + j) % 2 else c)
-    return tuple(out)
-
-
 def _linear_pencil(first: Mat, second: Mat) -> Mat:
     """x * first + second over the polynomial ring on their domain."""
     dom = first.domain
@@ -448,6 +433,30 @@ def _kernel_basis(red: Mat, piv_cols: List[int]) -> List[Tuple]:
             v[pc] = -red.entries[r][fc]
         basis.append(tuple(v))
     return basis
+
+
+def _leading_minors(m: Mat) -> List[Fraction]:
+    """The leading principal minors of a square matrix over Q, in order of
+    size, up to and including the first zero one.
+
+    Fraction-free elimination without pivoting on the integer rows of m
+    (one common denominator den): each step replaces the rows below the
+    pivot by (piv row_i - t row_k) / prev, exactly as in ``_gauss_jordan``,
+    and the k-th pivot is then the k-th leading minor of the integer rows
+    (Bareiss, Math. Comp. 22 (1968)), so den^k times that of m.  A zero
+    pivot ends the elimination."""
+    a, den = _int_rows(m)
+    minors, prev = [], 1
+    while a:
+        head = a[0]
+        piv = head[0]
+        minors.append(Fraction(piv, den ** (len(minors) + 1)))
+        if not piv:
+            break
+        a = [[(piv * x - row[0] * y) // prev for x, y in zip(row[1:], head[1:])]
+             for row in a[1:]]
+        prev = piv
+    return minors
 
 
 def k_minors(m: Mat, k: int):

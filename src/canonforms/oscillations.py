@@ -5,22 +5,29 @@ leading principal minors).  The spectral variable s solves det(K - s M) = 0
 with s = rho^2, so an oscillatory mode has s > 0 with angular frequency
 sqrt(s); negative s gives hyperbolic growth and s = 0 an affine drift mode.
 
+No matrix over Q[x] is built.  M is invertible, so A = M^-1 K exists and
+det(K - s M) = det(M) (-1)^n chi_A(s), with chi_A the characteristic
+polynomial of A from the Hessenberg reduction (``smith._char_poly``).  The
+result is re-checked at s = 1 against the scalar det(K - M).
+
 Eigenvectors follow the adjugate-column recipe: a nonzero column of
 adj(K - s M) evaluated at the root is an eigenvector, and when every column
 vanishes there (which happens exactly when the root's geometric multiplicity
 exceeds one) the exact nullspace is used instead and the mode is marked
-degenerate.
+degenerate.  As polynomials in s, a column comes from the Faddeev-LeVerrier
+recurrence for adj(sI - A) applied to one column of adj(M) = det(M) M^-1:
+n matrix-vector products over Q and no determinant.  At an exact root with
+a one-dimensional eigenspace, adj(K - s M) = c v v^T for its kernel vector
+v, so one scalar minor fixes the column.
 
-A report computes each intermediate once: K - s M (the x P + Q builder of
-matrix.py), its determinant, one root analysis, and at most one polynomial
-adjugate column (n cofactors), shared by every irrational root.  An exact
-root with a one-dimensional eigenspace computes one cofactor column, at the
-first nonzero entry of its kernel vector.
+A report computes each intermediate once: M^-1, A, det M and chi_A, one
+root analysis, and at most one polynomial adjugate column, shared by every
+irrational root.
 
 The inertia of a symmetric matrix comes from Descartes' rule of signs on its
-characteristic polynomial (``smith._char_poly``), which is exact because
-that polynomial is real-rooted; the leading principal-minor quotients, when
-they apply, must give the same counts.
+characteristic polynomial, which is exact because that polynomial is
+real-rooted; the leading principal-minor quotients, read off the pivots of
+one fraction-free elimination, must give the same counts when they apply.
 
 Two stability verdicts are reported side by side: the 1766 trichotomy that
 demotes every repeated root to conditional stability, and the 1858 criterion
@@ -31,6 +38,8 @@ disagreement is confined to repeated positive roots.
 from __future__ import annotations
 
 import math
+import operator
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -47,7 +56,7 @@ from .algebra import (
     _sturm_chain,
     factor,
 )
-from .matrix import Mat, ShapeError, _adjugate_column, _linear_pencil, det, nullspace
+from .matrix import Mat, ShapeError, _leading_minors, det, mat_inverse, nullspace
 from .smith import _char_poly
 
 
@@ -68,8 +77,7 @@ class OscSystem:
             raise ValueError("mass matrix must be symmetric")
         if k != k.transpose():
             raise ValueError("stiffness matrix must be symmetric")
-        for t in range(1, m.rows + 1):
-            minor = det(m.submatrix(range(t), range(t)))
+        for t, minor in enumerate(_leading_minors(m), start=1):
             if minor <= 0:
                 raise ValueError(
                     "mass matrix must be positive definite "
@@ -80,10 +88,51 @@ class OscSystem:
         return self.mass.rows
 
 
+@dataclass(frozen=True)
+class _Reduction:
+    """M^-1, A = M^-1 K, det M and the characteristic polynomial chi_A of
+    one system: everything its report needs from M and K."""
+
+    inverse: Mat
+    a: Mat
+    det_mass: Fraction
+    chi: Poly
+
+
+def _reduce(sys: OscSystem) -> _Reduction:
+    """The reduction of a system, with chi_A re-checked at s = 1:
+    det(M) (-1)^n chi_A(1) must equal det(K - M) (an explicit raise, so the
+    check also holds under ``python -O``)."""
+    m, k = sys.mass, sys.stiffness
+    inverse = mat_inverse(m)
+    a = inverse * k
+    det_mass = det(m)
+    chi = _char_poly(a)
+    if _signed(det_mass, sys.size) * chi(1) != det(k - m):
+        raise VerificationError("det(K - s M) at s = 1 must equal det(K - M)")
+    return _Reduction(inverse, a, det_mass, chi)
+
+
+def _signed(c: Fraction, n: int) -> Fraction:
+    return -c if n % 2 else c
+
+
+# the system whose report is being built and its reduction, so that the
+# steps ``mode_report`` calls share one
+_REPORTING: ContextVar = ContextVar("_REPORTING", default=(None, None))
+
+
+def _reduction(sys: OscSystem) -> _Reduction:
+    held, reduction = _REPORTING.get()
+    return reduction if held is sys else _reduce(sys)
+
+
 def char_poly(sys: OscSystem) -> Poly:
     """det(K - s M) as an exact polynomial in s (degree n, leading
-    coefficient (-1)^n det M)."""
-    f = det(_linear_pencil(-sys.mass, sys.stiffness))
+    coefficient (-1)^n det M), as det(M) (-1)^n chi_A(s) for A = M^-1 K."""
+    r = _reduction(sys)
+    c = _signed(r.det_mass, sys.size)
+    f = Poly(QQ, (c * x for x in r.chi.coeffs))
     if f.degree != sys.size:
         raise VerificationError("definite mass must keep the full degree")
     return f
@@ -108,27 +157,35 @@ class AdjugateEigenvector:
 def eigvec_adjugate(sys: OscSystem, root) -> AdjugateEigenvector:
     """Adjugate-column eigenvector at an exact rational root of char_poly.
 
-    Raises ValueError when the argument is not a root.  The returned vector
-    satisfies (K - s M) v = 0 exactly.  adj(K - s M) vanishes exactly when
-    the eigenspace has dimension two or more, so a column is computed only
-    for a one-dimensional eigenspace.  There K - s M is symmetric of rank
-    n - 1 with kernel vector v, so adj(K - s M) = c v v^T with c != 0, and
-    its first nonzero column sits at the first nonzero entry of v: that one
-    column is computed.
+    Raises ValueError when the argument is not a root (K - s M has no
+    kernel).  The returned vector satisfies (K - s M) v = 0 exactly.
+    adj(K - s M) vanishes exactly when the eigenspace has dimension two or
+    more, so a column is computed only for a one-dimensional eigenspace.
     """
     s = Fraction(root)
     w = sys.stiffness - sys.mass * s
-    if det(w) != 0:
-        raise ValueError(f"{s} is not a characteristic root")
     basis = tuple(nullspace(w))
     if not basis:
-        raise VerificationError("a characteristic root must have an eigenvector")
+        raise ValueError(f"{s} is not a characteristic root")
     if len(basis) > 1:
         return AdjugateEigenvector(vector=basis[0], degenerate=True, basis=basis)
-    column = _adjugate_column(w, next(j for j, x in enumerate(basis[0]) if x != 0))
+    column = _kernel_column(w, basis[0])
     if all(c == 0 for c in column) or _apply(w, column) != (Fraction(0),) * w.rows:
         raise VerificationError("adjugate column must be a nonzero kernel vector")
     return AdjugateEigenvector(vector=column, degenerate=False, basis=basis)
+
+
+def _kernel_column(w: Mat, v: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+    """The first nonzero column of adj(w) for a symmetric w of rank n - 1
+    with kernel vector v.  There adj(w) = c v v^T with c != 0, so that
+    column sits at the first nonzero entry j of v and equals
+    (adj(w)_jj / v_j) v: one minor of order n - 1."""
+    n = w.rows
+    j = next(i for i, x in enumerate(v) if x != 0)
+    rest = [i for i in range(n) if i != j]
+    minor = det(w.submatrix(rest, rest)) if rest else Fraction(1)
+    scale = minor / v[j]
+    return tuple(scale * x for x in v)
 
 
 def _apply(m: Mat, v: Sequence) -> Tuple:
@@ -138,9 +195,28 @@ def _apply(m: Mat, v: Sequence) -> Tuple:
 
 def adjugate_column_polynomials(sys: OscSystem, column: int = 0) -> Tuple[Poly, ...]:
     """One column of adj(K - s M) as polynomials in s (the closed-form
-    eigenvector recipe, to be evaluated at a root)."""
-    return _adjugate_column(_linear_pencil(-sys.mass, sys.stiffness),
-                            range(sys.size)[column])
+    eigenvector recipe, to be evaluated at a root).
+
+    adj(K - s M) = adj(A - s I) adj(M) = (-1)^(n-1) adj(sI - A) adj(M), and
+    column j of adj(M) is x = det(M) M^-1 e_j.  With adj(sI - A) =
+    sum s^i B_i and chi_A = sum c_i s^i, the Faddeev-LeVerrier recurrence
+    B_(n-1) = I, B_(i-1) = A B_i + c_i I gives adj(sI - A) x = sum s^i b_i
+    with b_(n-1) = x and b_(i-1) = A b_i + c_i x (Faddeev & Faddeeva,
+    Computational Methods of Linear Algebra, 1963)."""
+    n = sys.size
+    j = range(n)[column]
+    r = _reduction(sys)
+    # the sign (-1)^(n-1) rides along on x, since the recurrence is linear
+    scale = _signed(r.det_mass, n - 1)
+    x = [scale * row[j] for row in r.inverse.entries]
+    chi = r.chi.coeffs
+    b, bs = x, [x]
+    for i in range(n - 1, 0, -1):
+        b = [sum(map(operator.mul, row, b)) + chi[i] * e
+             for row, e in zip(r.a.entries, x)]
+        bs.append(b)
+    bs.reverse()    # bs[i] = b_i, the coefficient of s^i
+    return tuple(Poly(QQ, (b[k] for b in bs)) for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -174,7 +250,9 @@ def inertia(k: Mat) -> InertiaResult:
     if not isinstance(k.domain, type(QQ)):
         raise DomainError("inertia is computed over Q")
     n = k.rows
-    minors = [det(k.submatrix(range(t), range(t))) for t in range(1, n + 1)]
+    # the minors stop at the first zero one, which then fails the test below
+    # unless it is the last
+    minors = _leading_minors(k)
     quotients = None
     if all(m != 0 for m in minors[: n - 1]):
         quotients = []
@@ -405,6 +483,14 @@ def _mode_template(index: int, root, multiplicity: int) -> Tuple[str, str]:
 def mode_report(sys: OscSystem) -> ModeReport:
     """Every root with certificate, eigenvector data, both verdicts, and a
     rendered general-solution template."""
+    token = _REPORTING.set((sys, _reduce(sys)))
+    try:
+        return _report(sys)
+    finally:
+        _REPORTING.reset(token)
+
+
+def _report(sys: OscSystem) -> ModeReport:
     summary = analyze_roots(sys)
     verdicts = _verdicts(summary)
     modes = []

@@ -18,7 +18,14 @@ from canonforms.algebra import (
     scalar_is_zero,
 )
 from canonforms.canonical import _block_sort_key, _checked, _krylov_transform, hypercompanion
-from canonforms.matrix import Mat, PolynomialRing, ShapeError, SingularMatrixError, det
+from canonforms.matrix import (
+    Mat,
+    PolynomialRing,
+    ShapeError,
+    SingularMatrixError,
+    _linear_pencil,
+    det,
+)
 from canonforms.smith import _ledger, char_matrix, smith_form
 
 
@@ -337,6 +344,32 @@ def congruence_signature(k: Mat):
                 for r in range(n):
                     a[r][i] = a[r][i] - f * a[r][t]
     return pos, neg, zero
+
+
+# The oscillation route that ``oscillations`` ran before it moved to
+# A = M^-1 K over Q: Bareiss over Q[x] on K - s M for the characteristic
+# polynomial, and n cofactors for one adjugate column, kept as the oracles
+# of that route.
+
+
+def osc_char_poly_by_bareiss(system):
+    """det(K - s M) of an OscSystem, by Bareiss elimination over Q[x]."""
+    return det(_linear_pencil(-system.mass, system.stiffness))
+
+
+def adjugate_column(m: Mat, j: int) -> tuple:
+    """Column j of adj(M): the signed cofactors of row j of a square M
+    (n minors of order n - 1; adj of a 1x1 matrix is [1])."""
+    n = m.rows
+    if n == 1:
+        return (m.domain.one,)
+    idx = range(n)
+    rows = [x for x in idx if x != j]
+    out = []
+    for i in idx:
+        c = det(m.submatrix(rows, [x for x in idx if x != i]))
+        out.append(-c if (i + j) % 2 else c)
+    return tuple(out)
 
 
 def chain3():

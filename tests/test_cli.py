@@ -577,3 +577,23 @@ def test_global_flag_before_or_after_the_subcommand(tmp_path, flag, argv):
     if flag != ["--seed", "7"]:
         assert invoke(before) != invoke(argv + [path])
     assert build_parser().parse_args(before).seed == (7 if "--seed" in flag else 0)
+
+
+def test_run_builds_one_parser_and_leaks_no_flag(monkeypatch):
+    # the parser is built on the first call of run and serves every later
+    # call; a flag given to one call does not reach the next
+    real = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    kron = ["kron-form", "--kind", "I", "--size", "2"]
+    try:
+        first, again = invoke(kron + ["--json", "--seed", "7"]), invoke(kron)
+        assert invoke(kron + ["--json", "--seed", "7"]) == first
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert first[0] == EXIT_OK and again[0] == EXIT_OK
+    assert again[1] == (Path(__file__).parent / "golden" / "text"
+                        / "kron-form-I-2.txt").read_text()
+    assert invoke(kron) == again

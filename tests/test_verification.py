@@ -433,6 +433,43 @@ def test_lint_finds_no_transform_reads(tmp_path):
     assert _no_transform_reads(path) == {"run", "R.emit", "factory.cmd"}
 
 
+# oscillations.py works over Q alone: it names neither the builder of
+# x P + Q nor the polynomial ring, and the cofactor column of the route over
+# Q[x] is gone from matrix.py
+def _names_used(path):
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def _names_defined(path):
+    return {node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_oscillations_builds_no_polynomial_matrix():
+    assert _names_used(SRC / "canonforms" / "oscillations.py") & {
+        "_linear_pencil", "PolynomialRing"} == set()
+    assert "_adjugate_column" not in _names_defined(SRC / "canonforms" / "matrix.py")
+
+
+def test_lint_finds_polynomial_matrix_names(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .matrix import Mat, _linear_pencil\n"
+                    "import canonforms.matrix\n"
+                    "def f(m):\n    return canonforms.matrix.PolynomialRing(m)\n"
+                    "class C:\n    def _adjugate_column(self):\n        pass\n",
+                    encoding="utf-8")
+    assert {"_linear_pencil", "PolynomialRing", "matrix"} <= _names_used(path)
+    assert _names_defined(path) == {"f", "C", "_adjugate_column"}
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: a failed internal check reaches the CLI user as one line
 
