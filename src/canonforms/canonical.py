@@ -9,17 +9,17 @@ One engine builds every transform over the base field, on Jordan's route:
 the characteristic polynomial (by Hessenberg reduction) is factored once,
 and for each irreducible base p of degree d the nested kernels
 K_j = ker p(A)^j count its blocks (``smith._nested_kernels``).  At each level
-e, largest first, the generators are pivot columns of one ``rref``: its
-columns are K_(e-1), p(A) K_(e+1) and, for each basis vector z of K_e, the
-orbit z, A z, ..., A^(d-1) z, taken only until they span K_e, and a z is
-picked when its own column is a pivot.  Whole orbits come in or stay out
-together, so the picks stay independent over F[x]/(p) (Steel, J. Symbolic
-Comput. 24 (1997)).
+e, largest first, the generators are pivot columns of one matrix
+(``matrix._pivot_columns``): its columns are K_(e-1), p(A) K_(e+1) and,
+for each basis vector z of K_e, the orbit z, A z, ..., A^(d-1) z, taken
+only until they span K_e, and a z is picked when its own column is a
+pivot.  Whole orbits come in or stay out together, so the picks stay
+independent over F[x]/(p) (Steel, J. Symbolic Comput. 24 (1997)).
 Krylov chains from these generators are the columns of the primary and
 Jordan transforms; the generator of an invariant factor d_k is the sum of
 its primary generators, whose orders are coprime, and ``similar`` composes
 two rational transforms as T_A T_B^{-1}.  Every transform is checked by
-explicit raises: T has full rank (n pivots in ``rref``), and A T = T F is
+explicit raises: T has full rank (n pivot columns), and A T = T F is
 decided by one packed-integer product per side
 (``matrix._products_agree``); no check inverts.
 
@@ -37,18 +37,16 @@ import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     DomainError,
     Poly,
-    RationalField,
     VerificationError,
     factor,
     scalar_key,
 )
-from .matrix import Mat, ShapeError, _cleared, _products_agree, mat_inverse, rref
+from .matrix import Mat, ShapeError, _pivot_columns, _products_agree, mat_inverse
 from .smith import _char_poly, _nested_kernels
 
 
@@ -169,16 +167,6 @@ def _columns(dom, vectors) -> Mat:
     return Mat._raw(dom, tuple(zip(*vectors)))
 
 
-def _pivots(dom, cols) -> set:
-    """The pivot columns of the matrix with these columns.  Scaling a column
-    keeps the pivots, so over Q each column is first cleared of its
-    denominators: ``rref`` clears whole rows, and across a row they grow
-    with the power of A that made each column."""
-    if isinstance(dom, RationalField):
-        cols = [tuple(map(Fraction, _cleared(c)[0])) for c in cols]
-    return set(rref(_columns(dom, cols))[1])
-
-
 def _generators(a: Mat, base: Poly, m: Mat, kernels, exps):
     """[(e, z)] for the block exponents e of ``base`` (largest first): z
     lies in K_e = ker M^e, M = base(A), and spans a cyclic summand with
@@ -195,11 +183,11 @@ def _generators(a: Mat, base: Poly, m: Mat, kernels, exps):
     quotient, a vector space over F[x]/(base), also when d > 1.
 
     Every column lies in K_e, so once the pivots number dim K_e no later
-    column is a pivot.  One ``rref`` therefore takes the orbits of the first
-    ceil(dim K_e / d) basis vectors, at most dim K_e + d - 1 columns and all
-    of K_e when d = 1, and the count doubles only while the rank falls
-    short.  A dense A, whose characteristic polynomial is one base of degree
-    n, reduces one Krylov orbit rather than n^2 columns.
+    column is a pivot.  One elimination therefore takes the orbits of the
+    first ceil(dim K_e / d) basis vectors, at most dim K_e + d - 1 columns
+    and all of K_e when d = 1, and the count doubles only while the rank
+    falls short.  A dense A, whose characteristic polynomial is one base of
+    degree n, reduces one Krylov orbit rather than n^2 columns.
     """
     dom, d = a.domain, base.degree
     need = Counter(exps)
@@ -217,7 +205,8 @@ def _generators(a: Mat, base: Poly, m: Mat, kernels, exps):
             for _ in range(d - 1):
                 powers.append(a * powers[-1])
             orbits = zip(*(zip(*p.entries) for p in powers))   # z, A z, ..., A^(d-1) z
-            pivots = _pivots(dom, prefix + [c for orbit in orbits for c in orbit])
+            pivots = set(_pivot_columns(
+                _columns(dom, prefix + [c for orbit in orbits for c in orbit])))
             if len(pivots) == len(basis) or count >= len(basis):
                 break
             count *= 2
@@ -254,9 +243,9 @@ def _krylov_transform(a: Mat, pieces) -> Mat:
 
 
 def _checked(a: Mat, t: Mat, f: Mat) -> Mat:
-    """T, once T has full rank (n pivots in its reduced echelon form) and
-    A T = T F hold exactly."""
-    if len(rref(t)[1]) != t.rows:
+    """T, once T has full rank (n pivot columns) and A T = T F hold
+    exactly."""
+    if len(_pivot_columns(t)) != t.rows:
         raise VerificationError("transform degenerated: det T = 0")
     if not _products_agree((a, t), (t, f)):
         raise VerificationError("transform fails A T = T F")

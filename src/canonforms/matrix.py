@@ -12,9 +12,9 @@ and Gauss-Jordan on residues over GF(p); a product is one integer matrix
 product.  Only products of polynomial matrices work entry by entry.
 
 The determinant expands exactly along rows and columns with at most one
-nonzero entry and computes the rest by fraction-free Bareiss elimination,
-whose exact divisions are checked; the same code path serves fields, Z and
-F[x].
+nonzero entry and hands the rest to the same ``_gauss_jordan`` on integer
+rows: over Q, Z and GF(p) the rows of ``_int_rows``, over F[x] each entry
+packed as its value at x = 2^K, the determinant read back digit by digit.
 
 Every identity the library checks (U M V = S, A T = T F, M M^{-1} = I, the
 pencil witness) is decided by ``_products_agree``: each factor becomes an
@@ -37,7 +37,6 @@ from typing import Iterable, List, Sequence, Tuple
 from .algebra import (
     DomainError,
     GFElement,
-    IntegerRing,
     Poly,
     RationalField,
     VerificationError,
@@ -259,7 +258,7 @@ def det(m: Mat):
     entry, expand along it exactly: none gives 0, and one entry c at
     position (i, j) of the remaining matrix contributes (-1)^(i+j) c and
     drops its row and column.  What is left, every row and column with two
-    nonzero entries or more, goes to fraction-free Bareiss elimination.  So
+    nonzero entries or more, goes to ``_det_eliminated``.  So
     permutation-like minors cost no elimination and dense ones no cofactor
     sum, with no size or sparsity threshold.
     """
@@ -273,7 +272,7 @@ def det(m: Mat):
     while rows:
         lone = _lone_entry(nonzero, rows, cols)
         if lone is None:
-            factors.append(_det_bareiss([[ent[i][j] for j in cols] for i in rows], dom))
+            factors.append(_det_eliminated(m.submatrix(rows, cols)))
             break
         if not lone:
             return dom.zero
@@ -300,50 +299,30 @@ def _lone_entry(nonzero, rows, cols):
     return None
 
 
-def _det_bareiss(a: list, dom):
-    """Determinant of the square list of rows ``a`` (consumed) by
-    fraction-free Bareiss elimination; every division is exact over a field,
-    Z or F[x], and is checked."""
-    n = len(a)
-    sign = 1
-    prev = dom.one
-    for k in range(n - 1):
-        if scalar_is_zero(a[k][k]):
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not scalar_is_zero(a[i][k]):
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return dom.zero
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                num = pk * row_i[j] - aik * row_k[j]
-                row_i[j] = _exact_div(num, prev, dom)
-            row_i[k] = dom.zero
-        prev = pk
-    d = a[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def _exact_div(num, den, dom):
-    if den == dom.one:
-        return num
-    if isinstance(dom, IntegerRing):
-        q, r = divmod(num, den)
-        if r:
-            raise ArithmeticError("Bareiss division not exact over Z")
-        return q
-    if isinstance(dom, PolynomialRing):
-        return num.exact_div(den)
-    # field
-    return num / den
+def _det_eliminated(m: Mat):
+    """det m by ``_gauss_jordan`` on integer rows: those of ``_int_rows``
+    over Q, Z and GF(p), m = rows / den.  Over F[x] the entries of den m
+    are lifted as in ``_products_agree`` (residues in [0, p) over GF(p)[x])
+    and packed at x = 2^K; evaluation is a ring homomorphism, so the
+    balanced digits of the integer determinant are the coefficients of
+    det(den m), computed over Z and then divided by den^n or reduced mod p."""
+    dom, n = m.domain, m.rows
+    poly = isinstance(dom, PolynomialRing)
+    if poly:
+        coeffs, den, _, _ = _lift(m, dom.characteristic)
+        # every coefficient of det(den m) is at most prod_i sum_j |c_ij|_1,
+        # c = den m and |.|_1 the sum of absolute coefficients: expanding that
+        # product over the rows covers every term of the sum over permutations
+        bound = math.prod(sum(sum(map(abs, cs)) for cs in row) for row in _rows(coeffs, n))
+        k, p = _packing_width(bound), 0
+        rows = _rows([_pack(cs, k) for cs in coeffs], n)
+    else:
+        (rows, den), p = _int_rows(m), dom.characteristic
+    piv_cols, d, sign, scale = _gauss_jordan(rows, p)
+    value = sign * d * scale if len(piv_cols) == n else 0
+    scalars = dom.base if poly else dom
+    out = _from_int_rows(scalars, [_unpack(value, k) if poly else [value]], den ** n)
+    return Poly(scalars, out.entries[0]) if poly else out.entries[0][0]
 
 
 def _linear_pencil(first: Mat, second: Mat) -> Mat:
@@ -365,31 +344,38 @@ def rref(m: Mat) -> Tuple[Mat, List[int]]:
         raise DomainError("rref requires a field domain")
     p = dom.characteristic
     rows = _int_rows(m)[0] if p else [_cleared(row)[0] for row in m.entries]
-    piv_cols, d = _gauss_jordan(rows, p)
+    piv_cols, d, _, _ = _gauss_jordan(rows, p)
     return _from_int_rows(dom, rows, d), piv_cols
 
 
-def _gauss_jordan(a: list, p: int) -> Tuple[List[int], int]:
+def _gauss_jordan(a: list, p: int) -> Tuple[List[int], int, int, int]:
     """Gauss-Jordan elimination on the list of integer rows ``a``, in
-    place; returns (pivot columns, d) with the reduced echelon form a / d.
+    place; returns (pivot columns, d, sign, scale) with the reduced echelon
+    form a / d, sign (+1 or -1) the parity of the row exchanges, and scale
+    the product of the pivots scaled to 1.
 
     Over GF(p) (p > 0) the rows hold residues, each pivot row is scaled to
     a leading 1, and d = 1.  Over Q (p = 0) the elimination is
-    fraction-free: a pivot step with pivot entry piv in row r replaces every
-    other row by (piv row_i - t row_r) / prev, t its entry in the pivot
-    column and prev the previous pivot (1 at the start).  Every entry stays
-    a minor of the input, a pivot row's by Cramer's rule and any other
-    row's by Sylvester's identity, so the division is exact (Bareiss, Math.
-    Comp. 22 (1968)).  At the end every pivot row carries the last pivot d
-    on its pivot entry and 0 on the other pivot columns."""
-    piv_cols, prev = [], 1
+    fraction-free and scale = 1: a pivot step with pivot entry piv in row r
+    replaces every other row by (piv row_i - t row_r) / prev, t its entry in
+    the pivot column and prev the previous pivot (1 at the start).  Every
+    entry stays a minor of the input, a pivot row's by Cramer's rule and any
+    other row's by Sylvester's identity, so the division is exact (Bareiss,
+    Math. Comp. 22 (1968)).  At the end every pivot row carries the last
+    pivot d on its pivot entry and 0 on the other pivot columns.  So a
+    square input of full rank has determinant sign d over Q (d is the full
+    minor of the exchanged rows) and sign scale over GF(p)."""
+    piv_cols, prev, sign, scale = [], 1, 1, 1
     for c in range(len(a[0])):
         r = len(piv_cols)
         pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
             continue
-        a[r], a[pr] = a[pr], a[r]
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
         if p:
+            scale = scale * a[r][c] % p
             inv = pow(a[r][c], -1, p)
             a[r] = [x * inv % p for x in a[r]]
         row = a[r]
@@ -406,7 +392,19 @@ def _gauss_jordan(a: list, p: int) -> Tuple[List[int], int]:
         piv_cols.append(c)
         if r + 1 == len(a):
             break
-    return piv_cols, prev
+    return piv_cols, prev, sign, scale
+
+
+def _pivot_columns(m: Mat) -> List[int]:
+    """The pivot columns of m over a field, with no reduced form built.
+    Scaling a column keeps the pivots, so over Q each column is cleared of
+    its own denominators, which across a row can differ widely (Krylov
+    columns z, A z, A^2 z, ...)."""
+    if p := m.domain.characteristic:
+        rows = _int_rows(m)[0]
+    else:
+        rows = list(zip(*(_cleared(col)[0] for col in zip(*m.entries))))
+    return _gauss_jordan(rows, p)[0]
 
 
 def nullspace(m: Mat) -> List[Tuple]:
@@ -635,16 +633,20 @@ def _int_product(factors):
     return acc
 
 
-def _digits_vanish_mod(delta: int, k: int, p: int) -> bool:
-    """True iff every balanced base-2^k digit of delta is divisible by p:
-    the digits are the coefficients of a polynomial whose coefficients are
-    below 2^(k-1) in absolute value, so they are read off exactly."""
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    while delta:
-        digit = delta & mask
+def _unpack(value: int, k: int) -> list:
+    """The balanced base-2^k digits of value, low to high: the coefficients
+    of the polynomial that is value at x = 2^k, if each is below 2^(k-1) in
+    absolute value."""
+    half, mask, digits = 1 << (k - 1), (1 << k) - 1, []
+    while value:
+        digit = value & mask
         if digit >= half:
             digit -= 1 << k
-        if digit % p:
-            return False
-        delta = (delta - digit) >> k
-    return True
+        digits.append(digit)
+        value = (value - digit) >> k
+    return digits
+
+
+def _digits_vanish_mod(delta: int, k: int, p: int) -> bool:
+    """True iff every balanced base-2^k digit of delta is divisible by p."""
+    return not any(digit % p for digit in _unpack(delta, k))

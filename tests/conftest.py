@@ -347,13 +347,13 @@ def congruence_signature(k: Mat):
 
 
 # The oscillation route that ``oscillations`` ran before it moved to
-# A = M^-1 K over Q: Bareiss over Q[x] on K - s M for the characteristic
+# A = M^-1 K over Q: ``det`` over Q[x] of K - s M for the characteristic
 # polynomial, and n cofactors for one adjugate column, kept as the oracles
 # of that route.
 
 
 def osc_char_poly_by_bareiss(system):
-    """det(K - s M) of an OscSystem, by Bareiss elimination over Q[x]."""
+    """det(K - s M) of an OscSystem, by ``det`` over Q[x]."""
     return det(_linear_pencil(-system.mass, system.stiffness))
 
 

@@ -1,11 +1,16 @@
 """``det`` against the cofactor oracle over every coefficient domain.
 
 ``det`` expands exactly along rows and columns with at most one nonzero
-entry and eliminates the rest with Bareiss, so the cases below reach each
-branch: zero lines, a lone entry at every position (both signs of
-(-1)^(i+j), by row and by column), permutation matrices of both parities,
-characteristic matrices of Jordan matrices, Kronecker's chain-form pencils,
-and dense matrices whose elimination needs a row swap.
+entry and hands the rest to the integer Gauss-Jordan elimination of
+``rref``: over Q, Z and GF(p) on the integer rows of the matrix, over F[x]
+on each entry packed as its value at x = 2^K, with the determinant read
+back digit by digit.  So the cases below reach each branch: zero lines, a
+lone entry at every position (both signs of (-1)^(i+j), by row and by
+column), permutation matrices of both parities, characteristic matrices of
+Jordan matrices, Kronecker's chain-form pencils, and dense matrices whose
+elimination needs a row swap.  Entries up to 10^12 in absolute value and
+exact powers of two, over Z, Q and Z[x], put coefficients of the packed
+determinant on the boundaries of its digits.
 """
 
 from fractions import Fraction
@@ -20,17 +25,23 @@ from canonforms.matrix import _linear_pencil
 from canonforms.smith import char_matrix
 from conftest import det_cofactor
 
-DOMAINS = [ZZ, QQ, GF(2), GF(7), PolynomialRing(QQ), PolynomialRing(GF(7))]
+DOMAINS = [ZZ, QQ, GF(2), GF(7), PolynomialRing(QQ), PolynomialRing(GF(7)),
+           PolynomialRing(ZZ), PolynomialRing(GF(10007))]
+
+_LARGE = st.one_of(st.integers(-10**12, 10**12),
+                   st.builds(lambda j, sign: sign * 2 ** j,
+                             st.integers(0, 40), st.sampled_from((1, -1))))
 
 
 def _scalars(dom):
     if isinstance(dom, PolynomialRing):
-        return st.lists(_scalars(dom.base), max_size=3).map(
+        return st.lists(_scalars(dom.base), max_size=5).map(
             lambda cs: Poly(dom.base, cs))
     if dom is ZZ:
-        return st.integers(-5, 5)
+        return st.one_of(st.integers(-5, 5), _LARGE)
     if dom is QQ:
-        return st.fractions(min_value=-5, max_value=5, max_denominator=3)
+        return st.one_of(st.fractions(min_value=-5, max_value=5, max_denominator=3),
+                         st.builds(Fraction, _LARGE, st.integers(1, 3)))
     return st.integers(0, dom.characteristic - 1).map(dom.coerce)
 
 
@@ -50,8 +61,10 @@ def _square(draw):
     """(domain, rows, expected determinant or None)."""
     dom = draw(st.sampled_from(DOMAINS))
     kind = draw(st.sampled_from(["sparse", "zero_line", "lone_entry",
-                                 "permutation", "bareiss_swap"]))
-    n = draw(st.integers(3 if kind == "bareiss_swap" else 1, 7))
+                                 "permutation", "row_swap"]))
+    # the cofactor oracle multiplies n! products of polynomials
+    top = 5 if isinstance(dom, PolynomialRing) else 7
+    n = draw(st.integers(3 if kind == "row_swap" else 1, top))
     zero = dom.zero
     if kind == "sparse":
         entry = st.one_of(st.just(zero), _nonzero(dom))
@@ -63,7 +76,7 @@ def _square(draw):
     rows = [[draw(_nonzero(dom)) for _ in range(n)] for _ in range(n)]
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     by_row = draw(st.booleans())
-    if kind == "bareiss_swap":
+    if kind == "row_swap":
         # every line keeps two nonzero entries, so no expansion applies and
         # the zero pivot forces a row swap in the elimination
         rows[0][0] = zero

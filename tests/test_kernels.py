@@ -9,6 +9,9 @@ each pick must add its whole orbit z, A z, ..., A^(d-1) z to the span the
 next pick avoids.
 """
 
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,18 +213,31 @@ def test_incremental_kernels_equal_the_power_route_on_block_matrices(field):
     check()
 
 
+@functools.lru_cache(maxsize=None)
+def _irreducible_bases(dom, degree):
+    """The monic irreducible polynomials of this degree over dom whose lower
+    coefficients are residues of -3..3, each once."""
+    bases = []
+    for cs in itertools.product(range(-3, 4), repeat=degree):
+        f = Poly(dom, [dom.coerce(c) for c in cs] + [dom.one])
+        terms = factor(f)
+        if f not in bases and [(t.base, t.exponent) for t in terms] == [(f, 1)]:
+            bases.append(f)
+    return bases
+
+
 @st.composite
 def repeated_base_matrices(draw, dom):
     """(A, B): B block diagonal of hypercompanion blocks of one irreducible
-    monic base of degree 2 or 3, with exponents drawn with repeats and at
-    most 8 rows; A = P^{-1} B P for a drawn P, or B itself."""
+    monic base of degree 2 or 3, with two exponents or more (repeats
+    allowed) and at most 8 rows; A = P^{-1} B P for a drawn P, or B
+    itself."""
     degree = draw(st.integers(2, 3))
-    coeffs = st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)
-    base = draw(coeffs.map(lambda cs: Poly(dom, [dom.coerce(c) for c in cs] + [dom.one]))
-                .filter(lambda f: [t.exponent for t in factor(f)] == [1]
-                        and factor(f)[0].base == f))
-    exps = draw(st.lists(st.integers(1, 8 // degree), min_size=2, max_size=8 // degree)
-                .filter(lambda es: sum(es) * degree <= 8))
+    base = draw(st.sampled_from(_irreducible_bases(dom, degree)))
+    room = 8 // degree
+    exps = [draw(st.integers(1, room - 1))]
+    while sum(exps) < room and (len(exps) < 2 or draw(st.booleans())):
+        exps.append(draw(st.integers(1, room - sum(exps))))
     b = Mat.block_diagonal(dom, [hypercompanion(base, e) for e in exps])
     n = b.rows
     ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -233,8 +249,8 @@ def repeated_base_matrices(draw, dom):
 @pytest.mark.parametrize("family", ["blocks", "repeated"])
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_generators_equal_the_extension_oracle(field, family):
-    # the pivot columns of one rref per level are exactly the picks of the
-    # vector-by-vector extension they replaced
+    # the pivot columns of one elimination per level are exactly the picks
+    # of the vector-by-vector extension they replaced
     matrices = block_matrices if family == "blocks" else repeated_base_matrices
 
     @settings(max_examples=30, deadline=None)

@@ -181,18 +181,17 @@ def test_kernel_count_check_survives_python_O(tmp_path):
     assert proc.stderr == line * 3
 
 
-# the generator picks with an rref that loses its last pivot: the pick-count
-# check must raise, also with assertions compiled out, and the CLI must exit
-# 3 with one line
+# the generator picks with a pivot list that loses its last pivot: the
+# pick-count check must raise, also with assertions compiled out, and the
+# CLI must exit 3 with one line
 _LOST_PIVOT_SCRIPT = """
 import sys
 import canonforms.canonical as canonical
 import canonforms.cli as cli
-real = canonical.rref
+real = canonical._pivot_columns
 def lost_pivot(m):
-    red, piv_cols = real(m)
-    return red, piv_cols[:-1]
-canonical.rref = lost_pivot
+    return real(m)[:-1]
+canonical._pivot_columns = lost_pivot
 print("debug", __debug__)
 print("rcf exit", cli.run(["rcf", sys.argv[1]]))
 """
@@ -457,6 +456,16 @@ def test_oscillations_builds_no_polynomial_matrix():
     assert _names_used(SRC / "canonforms" / "oscillations.py") & {
         "_linear_pencil", "PolynomialRing"} == set()
     assert "_adjugate_column" not in _names_defined(SRC / "canonforms" / "matrix.py")
+
+
+# one integer elimination: det runs through _gauss_jordan like rref, and
+# canonical.py reads pivots through matrix._pivot_columns, so it clears no
+# denominators itself
+def test_one_integer_elimination_serves_det_and_pivots():
+    assert _names_defined(SRC / "canonforms" / "matrix.py") & {
+        "_det_bareiss", "_exact_div"} == set()
+    assert _names_used(SRC / "canonforms" / "canonical.py") & {
+        "rref", "_cleared", "RationalField", "Fraction"} == set()
 
 
 def test_lint_finds_polynomial_matrix_names(tmp_path):
