@@ -1,10 +1,16 @@
 """Matrix pencils (P, Q) under strict equivalence.
 
 The pencil's invariants are the homogeneous elementary divisors of
-det(u P + v Q): finite divisors come from the Smith form of x P + Q over
+det(u P + v Q).  A regular pencil is read Jordan's way: an invertible
+parameter substitution with an invertible leading member P' = alpha P +
+gamma Q turns u P + v Q into P'(u' I + v' A), so its divisors are those of
+the one matrix A over the base field (``divisor_data``), mapped back
+through the substitution.  Only a pencil without such a shift (a singular
+one, or a regular one over GF(p) whose divisors cover every point) takes
+Kronecker's route: finite divisors from the Smith form of x P + Q over
 F[x], divisors at the point (1 : 0) from the powers of y in the Smith form
-of P + y Q over F[y].  Singular pencils are detected and reported, their
-canonical minimal-index theory is deliberately not implemented.
+of P + y Q.  Singular pencils are detected and reported, their canonical
+minimal-index theory is deliberately not implemented.
 
 Strict equivalence of regular pencils goes through the shifted members: a
 joint parameter shift that makes both leading members invertible turns each
@@ -41,7 +47,7 @@ from .matrix import (
     det,
     mat_inverse,
 )
-from .smith import _divisor_str, smith_diagonal
+from .smith import _divisor_str, divisor_data, smith_diagonal
 
 
 class SingularPencilError(ArithmeticError):
@@ -140,8 +146,7 @@ def pencil_det(pc: Pencil) -> BinaryForm:
     if form != mirror:
         raise VerificationError("dehomogenizations disagree")
     for t in _parameter_points(dom, n + 1):
-        lhs = det(Mat(dom, ((a + t * b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(pc.p.entries, pc.q.entries))))
+        lhs = det(pc.p + pc.q * t)
         if form.evaluate(dom.one, t) != lhs:
             raise VerificationError("determinant form evaluation mismatch")
     return form
@@ -164,18 +169,81 @@ def pencil_regular(pc: Pencil) -> bool:
 def pencil_divisors(pc: Pencil) -> PencilInvariants:
     """Homogeneous elementary divisors of a pencil.
 
-    Finite divisors (points (c : 1), or irreducible polynomials of degree
-    >= 2 kept verbatim) are read off the Smith form of x P + Q; divisors at
-    (1 : 0) off the y-power part of the Smith form of P + y Q.  For regular
-    pencils the divisor degrees sum to n (checked).  Singular pencils get a
-    report carrying the rank and the well-defined finite gcd data only.
+    Divisors are points (a : b) of the projective line, (1 : 0) marking
+    infinity, or irreducible polynomials of degree >= 2 for finite
+    divisors without a root in the field.  A regular pencil with an
+    invertible member P' = alpha P + gamma Q is shifted to P'(u' I + v' A)
+    and its divisors are those of A, from ``divisor_data`` over the base
+    field.  Only a pencil without such a member takes the Smith forms of
+    x P + Q and P + y Q over F[x].  For regular pencils the divisor degrees
+    sum to n and the finite divisors multiply to det(x P + Q) up to its
+    leading coefficient (both checked).  Singular pencils get a report
+    carrying the rank and the well-defined finite gcd data only.
     """
     return _pencil_divisors(pc, det(_linear_pencil(pc.p, pc.q)))
 
 
 def _pencil_divisors(pc: Pencil, fx: Poly) -> PencilInvariants:
-    """pencil_divisors given fx = det(x P + Q), which checks the divisors at
-    infinity: for a regular pencil its degree is n minus their count."""
+    """pencil_divisors given fx = det(x P + Q), against which the divisors
+    of a regular pencil are checked."""
+    shift = _joint_regular_shift(pc)
+    if shift is None:
+        return _smith_pencil_divisors(pc, fx)
+    coords, lead_inv = shift
+    beta, delta = coords[1]
+    n = pc.size
+    # u P + v Q = P'(u' I + v' A) for u = alpha u' + beta v', v = gamma u' +
+    # delta v'; the pencil (I, A) has the divisors of -A at (c : 1)
+    a = lead_inv * (pc.p * beta + pc.q * delta)
+    divisors = [(_unshift(base, coords), e)
+                for base, e in divisor_data(-a).elementary_divisors]
+    divisors.sort(key=_divisor_key)
+    inf_total = sum(e for base, e in divisors
+                    if isinstance(base, HomogeneousPoint) and base.is_infinity)
+    inv = PencilInvariants(regular=True, size=n, rank=n,
+                           infinity_defect=inf_total, divisors=tuple(divisors))
+    _check_regular(inv, fx)
+    return inv
+
+
+def _unshift(base: Poly, coords):
+    """A divisor base of -A, at x = u'/v', as a homogeneous divisor of the
+    pencil: the inverse substitution u' = delta u - beta v, v' = -gamma u +
+    alpha v carries the root c to the point (alpha c + beta : gamma c +
+    delta) and a base g of degree d >= 2 to sum_k g_k (delta x - beta)^k
+    (alpha - gamma x)^(d - k), made monic."""
+    (alpha, gamma), (beta, delta) = coords
+    dom = base.domain
+    if base.degree == 1:
+        c = -base.coeff(0)
+        return HomogeneousPoint.of(dom, alpha * c + beta, gamma * c + delta)
+    top, rest = Poly(dom, (-beta, delta)), Poly(dom, (alpha, -gamma))
+    return sum((top ** k * rest ** (base.degree - k) * g
+                for k, g in enumerate(base.coeffs)), Poly.zero(dom)).monic()
+
+
+def _check_regular(inv: PencilInvariants, fx: Poly) -> None:
+    """The divisors of a regular pencil against fx = det(x P + Q): their
+    degrees sum to n, deg fx is n minus the count at infinity, and fx is its
+    leading coefficient times the product of the finite divisors."""
+    if inv.total_degree() != inv.size:
+        raise VerificationError("divisor degrees must sum to n")
+    if fx.degree != inv.size - inv.infinity_defect:
+        raise VerificationError("infinity bookkeeping mismatch")
+    product = Poly.constant(fx.domain, fx.leading())
+    for base, e in inv.divisors:
+        if isinstance(base, HomogeneousPoint):
+            if base.is_infinity:
+                continue
+            base = Poly.linear(base.domain, base.a)
+        product = product * base ** e
+    if product != fx:
+        raise VerificationError("finite divisors do not multiply to det(x P + Q)")
+
+
+def _smith_pencil_divisors(pc: Pencil, fx: Poly) -> PencilInvariants:
+    """Kronecker's route, for a pencil without a regular shift: the Smith
+    diagonals of x P + Q and P + y Q over F[x]."""
     n = pc.size
     dom = pc.domain
     x_side = smith_diagonal(_linear_pencil(pc.p, pc.q))
@@ -198,20 +266,15 @@ def _pencil_divisors(pc: Pencil, fx: Poly) -> PencilInvariants:
             divisors.append((HomogeneousPoint.infinity(dom), e))
             inf_total += e
     divisors.sort(key=_divisor_key)
-    degree_det = n - inf_total  # degree of det(x P + Q) for regular pencils
-    regular = rank == n
     inv = PencilInvariants(
-        regular=regular,
+        regular=rank == n,
         size=n,
         rank=rank,
         infinity_defect=inf_total,
         divisors=tuple(divisors),
     )
-    if regular:
-        if inv.total_degree() != n:
-            raise VerificationError("divisor degrees must sum to n")
-        if fx.degree != degree_det:
-            raise VerificationError("infinity bookkeeping mismatch")
+    if inv.regular:
+        _check_regular(inv, fx)
     return inv
 
 
@@ -302,18 +365,19 @@ def pencil_equivalent(pc1: Pencil, pc2: Pencil):
     return True, (ht.transpose(), k)
 
 
-def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
-    """(shift, P1^{-1}, P2^{-1}) for an invertible parameter substitution
-    shift = ((alpha, gamma), (beta, delta)) whose leading member
-    P_i = alpha P + gamma Q is invertible for both pencils, or None.
+def _joint_regular_shift(*pencils: Pencil):
+    """(shift, P_1^{-1}, P_2^{-1}, ...) for an invertible parameter
+    substitution shift = ((alpha, gamma), (beta, delta)) whose leading member
+    P_i = alpha P + gamma Q is invertible for every pencil given, or None.
 
     det(P + c Q) is a nonzero polynomial in c of degree <= n for a regular
-    pencil, so at most 2n values of c fail for the pair, and the first
-    2n + 1 values tried hold a working shift: c = 0, 1, -1, ..., n, -n over
-    Q, and the residues 0 .. 2n over GF(p) whenever p > 2n.  Each candidate
-    is tried by inverting its leading members, the first pencil's first."""
-    dom = pc1.domain
-    n = pc1.size
+    pencil, so at most n values of c fail for each pencil, and the first
+    2n + 1 values tried hold a working shift for a pair: c = 0, 1, -1, ...,
+    n, -n over Q, and the residues 0 .. 2n over GF(p) whenever p > 2n.  Each
+    candidate is tried by inverting its leading members in the order the
+    pencils are given."""
+    dom = pencils[0].domain
+    n = pencils[0].size
     if isinstance(dom, RationalField):
         shifts = [0] + [s * k for k in range(1, n + 1) for s in (1, -1)]
     else:
@@ -322,7 +386,7 @@ def _joint_regular_shift(pc1: Pencil, pc2: Pencil):
     leading.append((dom.zero, dom.one))
     for alpha, gamma in leading:
         try:
-            inverses = tuple(mat_inverse(pc.p * alpha + pc.q * gamma) for pc in (pc1, pc2))
+            inverses = tuple(mat_inverse(pc.p * alpha + pc.q * gamma) for pc in pencils)
         except SingularMatrixError:
             continue
         # a complement independent of (alpha, gamma)

@@ -15,9 +15,12 @@ from canonforms.algebra import (
     HomogeneousPoint,
     Poly,
     QQ,
+    _divisor_key,
+    factor,
     scalar_is_zero,
 )
-from canonforms.matrix import Mat, det, mat_inverse
+from canonforms.canonical import hypercompanion, jordan_block
+from canonforms.matrix import Mat, _linear_pencil, det, mat_inverse
 from canonforms.pencil import (
     Pencil,
     PencilInvariants,
@@ -489,3 +492,111 @@ def test_equivalence_decision_matches_the_divisor_multisets(pair):
         assert h.transpose() * pc1.q * k == pc2.q
     else:
         assert pc1.domain != QQ       # over Q a joint shift always exists
+
+
+# ---------------------------------------------------------------------------
+# divisors on Jordan's side: one shift, one divisor_data, Smith only without
+# a shift
+
+_IRREDUCIBLE = {
+    # monic irreducible bases, low-to-high coefficients
+    QQ: [(1, 0, 1), (-2, 0, 1), (1, 1, 1)],
+    GF(2): [(1, 1, 1), (1, 1, 0, 1)],
+    GF(3): [(1, 0, 1), (2, 1, 1)],
+    GF(101): [(-2, 0, 1), (1, 1, 1)],
+}
+
+
+@st.composite
+def _block_pencils(draw):
+    """(pencil, expected divisors): (I, -J(c)), (I, -H) and (N, I) blocks
+    conjugated by unit triangular (so unimodular) H and K."""
+    dom = draw(st.sampled_from(list(_IRREDUCIBLE)))
+    p_blocks, q_blocks, expected = [], [], []
+    # half the pencils get a singular P, so that the shift moves every divisor
+    kinds = ["N"] if draw(st.booleans()) else []
+    while len(kinds) < 3 and (not kinds or draw(st.booleans())):
+        kinds.append(draw(st.sampled_from(["J", "H", "N"])))
+    for kind in kinds:
+        e = draw(st.integers(1, 2))
+        if kind == "J":
+            c = dom.coerce(draw(st.integers(-2, 2)))
+            p_blocks.append(Mat.identity(dom, e))
+            q_blocks.append(-jordan_block(dom, c, e))
+            expected.append((point(c, dom), e))
+        elif kind == "H":
+            base = Poly(dom, draw(st.sampled_from(_IRREDUCIBLE[dom])))
+            e = 1 if base.degree > 2 else e
+            h = hypercompanion(base, e)
+            p_blocks.append(Mat.identity(dom, h.rows))
+            q_blocks.append(-h)
+            expected.append((base, e))
+        else:
+            p_blocks.append(jordan_block(dom, dom.zero, e))
+            q_blocks.append(Mat.identity(dom, e))
+            expected.append((inf_point(dom), e))
+    pc = Pencil(Mat.block_diagonal(dom, p_blocks), Mat.block_diagonal(dom, q_blocks))
+    n = pc.size
+    entry = st.integers(-2, 2)
+
+    def unit_triangular(lower):
+        vals = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        return Mat(dom, [[1 if i == j else vals[i * n + j] if (j < i) == lower else 0
+                          for j in range(n)] for i in range(n)])
+
+    h = unit_triangular(True) * unit_triangular(False)
+    k = unit_triangular(False) * unit_triangular(True)
+    return pc.transform(h, k), sorted(expected, key=_divisor_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_block_pencils())
+def test_shift_route_matches_the_smith_route(case):
+    pc, expected = case
+    assert all(len(factor(b)) == 1 for b, _ in expected if isinstance(b, Poly))
+    fx = det(_linear_pencil(pc.p, pc.q))
+    inv = pencil._pencil_divisors(pc, fx)
+    assert inv == pencil._smith_pencil_divisors(pc, fx)
+    assert list(inv.multiset()) == expected
+
+
+def test_regular_pencil_with_a_shift_runs_no_smith_reduction(monkeypatch):
+    # P singular (a divisor at infinity) and an irreducible quadratic: the
+    # shift is P + Q, and the quadratic is mapped back through it
+    base = Poly(QQ, (2, -2, 1))
+    inv = PencilInvariants(regular=True, size=5, rank=5, infinity_defect=2,
+                           divisors=((point(3), 1), (base, 1), (inf_point(), 2)))
+    pc = canonical_pencil(inv).transform(rand_invertible(QQ, 5, random.Random(3)),
+                                         rand_invertible(QQ, 5, random.Random(4)))
+    for module in (pencil, smith):
+        monkeypatch.setattr(module, "smith_diagonal", _refuse)
+    monkeypatch.setattr(smith, "_smith_reduce", _refuse)
+    assert pencil._joint_regular_shift(pc)[0] == ((1, 1), (1, 0))
+    assert pencil_divisors(pc) == inv
+
+
+def test_gf2_pencil_without_a_shift_takes_the_smith_route(monkeypatch):
+    F2 = GF(2)
+    pc = Pencil(Mat(F2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+                Mat(F2, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert pencil._joint_regular_shift(pc) is None
+    reduced = []
+    real = pencil.smith_diagonal
+    monkeypatch.setattr(pencil, "smith_diagonal", lambda m: reduced.append(m) or real(m))
+    inv = pencil_divisors(pc)
+    assert len(reduced) == 2
+    assert inv.multiset() == ((point(0, F2), 1), (point(1, F2), 1), (inf_point(F2), 1))
+
+
+def test_pair_without_a_joint_shift_decides_by_shifted_divisors(monkeypatch):
+    # GF(2): diag(1, 0) u + diag(0, 1) v has its shift at P + Q, (I, I) at P,
+    # and no candidate serves both
+    F2 = GF(2)
+    pc1 = Pencil(Mat(F2, [[1, 0], [0, 0]]), Mat(F2, [[0, 0], [0, 1]]))
+    pc2 = Pencil(Mat.identity(F2, 2), Mat.identity(F2, 2))
+    assert pencil._joint_regular_shift(pc1, pc2) is None
+    for module in (pencil, smith):
+        monkeypatch.setattr(module, "smith_diagonal", _refuse)
+    monkeypatch.setattr(smith, "_smith_reduce", _refuse)
+    assert pencil_equivalent(pc1, pc2) == (False, None)
+    assert _decide_by_divisors(pc1, pc2) is False

@@ -16,7 +16,9 @@ import canonforms.matrix as matrix
 import canonforms.pencil as pencil
 import canonforms.smith as smith
 from canonforms import (
+    GF,
     QQ,
+    HomogeneousPoint,
     Mat,
     Pencil,
     Poly,
@@ -105,17 +107,19 @@ def test_verification_error_is_an_assertion_error():
     assert issubclass(VerificationError, AssertionError)
 
 
-# pencil_divisors with a Smith diagonal whose divisor degrees sum to n + 1:
-# the explicit check must catch it even with assertions compiled out
+# pencil_divisors with shifted divisors whose degrees sum to n + 1: the
+# explicit check must catch it even with assertions compiled out
 _BAD_DIAGONAL_SCRIPT = """
+from dataclasses import replace
 import canonforms.pencil as pencil
-from canonforms import QQ, Mat, Pencil, Poly, VerificationError, pencil_divisors
+from canonforms import QQ, Mat, Pencil, VerificationError, pencil_divisors
 print("debug", __debug__)
-real = pencil.smith_diagonal
-def padded(m):
-    diag = real(m)
-    return diag[:-1] + [diag[-1] * Poly.linear(diag[-1].domain, 7)]
-pencil.smith_diagonal = padded
+real = pencil.divisor_data
+def padded(a):
+    dd = real(a)
+    (base, e), *rest = dd.elementary_divisors
+    return replace(dd, elementary_divisors=((base, e + 1), *rest))
+pencil.divisor_data = padded
 try:
     pencil_divisors(Pencil(Mat.identity(QQ, 2), Mat(QQ, [[1, 1], [0, 2]])))
 except VerificationError as exc:
@@ -233,10 +237,30 @@ def test_pencil_det_checks(monkeypatch):
         pencil.pencil_det(_PENCIL)
 
 
+# diag(1, 1, 0) u + diag(0, 1, 1) v over GF(2): P, P + Q and Q are all
+# singular, so no parameter shift exists
+_UNSHIFTABLE = Pencil(Mat(GF(2), [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+                      Mat(GF(2), [[0, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
 def test_pencil_infinity_bookkeeping_check(monkeypatch):
     real = pencil.det
     monkeypatch.setattr(pencil, "det", lambda m: real(m).shift(1))
     with pytest.raises(VerificationError, match="infinity bookkeeping"):
+        pencil.pencil_divisors(_PENCIL)
+
+
+def test_pencil_divisor_product_check(monkeypatch):
+    # a mapped-back point moved by one keeps every degree and the count at
+    # infinity, so only fx = lc(fx) prod b^e can catch it
+    real = pencil._unshift
+
+    def moved(base, coords):
+        point = real(base, coords)
+        return HomogeneousPoint.of(point.domain, point.a + 1, point.b)
+
+    monkeypatch.setattr(pencil, "_unshift", moved)
+    with pytest.raises(VerificationError, match="multiply to det"):
         pencil.pencil_divisors(_PENCIL)
 
 
@@ -468,6 +492,40 @@ def test_one_integer_elimination_serves_det_and_pivots():
         "rref", "_cleared", "RationalField", "Fraction"} == set()
 
 
+# pencil.py reduces over F[x] only on Kronecker's route, which runs when no
+# regular shift exists
+def _call_owners(path, name):
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                found.add(owner)
+            walk(child, owner)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_pencil_reduces_over_fx_only_without_a_shift():
+    path = SRC / "canonforms" / "pencil.py"
+    assert _call_owners(path, "smith_diagonal") == {"_smith_pencil_divisors"}
+    assert _call_owners(path, "smith_form") == set()
+
+
+def test_lint_finds_call_owners(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import smith\nx = smith.smith_diagonal(1)\n"
+                    "def f(m):\n    return [smith_diagonal(r) for r in m]\n"
+                    "class C:\n    def g(self):\n        return smith_diagonal\n",
+                    encoding="utf-8")
+    assert _call_owners(path, "smith_diagonal") == {None, "f"}
+
+
 def test_lint_finds_polynomial_matrix_names(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("from .matrix import Mat, _linear_pencil\n"
@@ -516,18 +574,19 @@ def test_cli_kron_form_mismatch_exits_3(monkeypatch, capsys):
 
 def test_pencil_sides_of_different_rank_raise(monkeypatch):
     # x -> 1/y keeps the rank, so a rank that differs between x P + Q and
-    # P + y Q is a reduction bug, not a singular pencil
+    # P + y Q is a reduction bug, not a singular pencil; the GF(2) pencil
+    # has no regular shift, so it takes the Smith route
     real = pencil.smith_diagonal
     calls = []
 
     def zero_last_on_the_y_side(m):
         calls.append(m)
         diag = real(m)
-        return diag if len(calls) == 1 else diag[:-1] + [Poly.zero(QQ)]
+        return diag if len(calls) == 1 else diag[:-1] + [Poly.zero(diag[-1].domain)]
 
     monkeypatch.setattr(pencil, "smith_diagonal", zero_last_on_the_y_side)
     with pytest.raises(VerificationError, match="differ in rank"):
-        pencil.pencil_divisors(_PENCIL)
+        pencil.pencil_divisors(_UNSHIFTABLE)
 
 
 def test_cli_failed_check_exits_3(monkeypatch, tmp_path, capsys):
