@@ -6,11 +6,18 @@ over Z, and :class:`GFElement` residues over GF(p).  Every compound object
 or ``GF(p)`` -- that knows how to coerce raw inputs; arithmetic between
 objects of different domains is rejected.
 
+gcd, square-free decomposition, factorization and Sturm chains run on one
+kernel of coefficient lists of Python ints, low to high degree: residues in
+[0, p) over GF(p) (``_gfp_*``), integer polynomials over Z (``_zx_*``).  A
+polynomial over Q enters as its primitive integer multiple; ``_lift`` and
+``_drop`` convert once at each public entry and exit.
+
 No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -436,7 +443,7 @@ class Poly:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if not self.domain.is_field and not _int_is_unit(o.leading(), self.domain):
+        if not self.domain.is_field and o.leading() not in (1, -1):
             raise DomainError("division over Z requires a unit leading coefficient")
         lead_inv = self.domain.one / o.leading() if self.domain.is_field else (
             self.domain.one if o.leading() == 1 else -self.domain.one)
@@ -462,24 +469,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def exact_div(self, other) -> "Poly":
-        """Divide, asserting the remainder vanishes."""
-        o = self._check(other)
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.domain.is_field or _int_is_unit(o.leading(), self.domain):
-            q, r = divmod(self, o)
-            if not r.is_zero():
-                raise ArithmeticError("inexact polynomial division")
-            return q
-        # Over Z: divide via Q and check integrality.
-        fq = Poly(QQ, self.coeffs)
-        oq = Poly(QQ, o.coeffs)
-        q, r = divmod(fq, oq)
-        if not r.is_zero() or any(c.denominator != 1 for c in q.coeffs):
-            raise ArithmeticError("inexact polynomial division over Z")
-        return Poly(self.domain, (c.numerator for c in q.coeffs))
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.domain == other.domain and self.coeffs == other.coeffs
@@ -497,12 +486,6 @@ class Poly:
         return bool(self.coeffs)
 
     # -- calculus and evaluation
-
-    def derivative(self) -> "Poly":
-        if len(self.coeffs) <= 1:
-            return Poly.zero(self.domain)
-        return Poly(self.domain,
-                    (k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
     def __call__(self, x):
         x = self.domain.coerce(x)
@@ -545,10 +528,6 @@ class Poly:
         return f"Poly({self.domain}, {self.render()})"
 
 
-def _int_is_unit(c, domain) -> bool:
-    return isinstance(domain, IntegerRing) and c in (1, -1)
-
-
 def _render_poly(f: Poly, var: str, compact: bool) -> str:
     if f.is_zero():
         return "0"
@@ -577,38 +556,31 @@ def _render_poly(f: Poly, var: str, compact: bool) -> str:
 # gcd, square-free decomposition, factorization
 
 
+def _lift(f: Poly) -> list:
+    """The kernel list of f: its residues over GF(p); over Q, the primitive
+    integer polynomial that is a positive multiple of f."""
+    if isinstance(f.domain, PrimeField):
+        return [c.v for c in f.coeffs]
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    return _zx_primitive([c.numerator * (den // c.denominator) for c in f.coeffs])
+
+
+def _drop(dom, h: list) -> Poly:
+    """The monic polynomial over dom of a nonzero kernel list h."""
+    if isinstance(dom, PrimeField):
+        return Poly._raw(dom, tuple(GFElement(dom.p, c) for c in h))
+    return Poly._raw(dom, tuple(Fraction(c, h[-1]) for c in h))
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor over a field; gcd(0, 0) = 0."""
     if f.domain != g.domain:
         raise DomainError(f"{f.domain} vs {g.domain}")
     if not f.domain.is_field:
         raise DomainError("poly_gcd requires a field domain")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_extended_gcd(f: Poly, g: Poly):
-    """Return (d, s, t) with s*f + t*g = d monic."""
-    dom = f.domain
-    r0, r1 = f, g
-    s0, s1 = Poly.one(dom), Poly.zero(dom)
-    t0, t1 = Poly.zero(dom), Poly.one(dom)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lc = r0.leading()
-    inv = dom.one / lc
-    return (
-        Poly(dom, (c * inv for c in r0.coeffs)),
-        Poly(dom, (c * inv for c in s0.coeffs)),
-        Poly(dom, (c * inv for c in t0.coeffs)),
-    )
+    a, b, dom = _lift(f), _lift(g), f.domain
+    h = _gfp_gcd(a, b, dom.p) if isinstance(dom, PrimeField) else _zx_gcd(a, b)
+    return _drop(dom, h) if h else Poly.zero(dom)
 
 
 def squarefree_part(f: Poly) -> Poly:
@@ -628,46 +600,18 @@ def squarefree_decompose(f: Poly):
         raise ValueError("square-free decomposition of the zero polynomial")
     if not f.domain.is_field:
         raise DomainError("squarefree_decompose requires a field domain")
-    f = f.monic()
-    if f.degree <= 0:
+    return sorted(((_drop(f.domain, g), m) for g, m in _squarefree_parts(f)),
+                  key=lambda t: (t[1], t[0].sort_key()))
+
+
+def _squarefree_parts(f: Poly):
+    """[(g, m)] of a nonzero f over GF(p) or Q, as kernel lists."""
+    a = _lift(f)
+    if len(a) < 2:
         return []
-    acc: dict = {}
-    _squarefree_accumulate(f, 1, acc)
-    return sorted(acc.items(), key=lambda t: (t[1], t[0].sort_key()))
-
-
-def _squarefree_accumulate(f: Poly, scale: int, acc: dict) -> None:
-    # gcd-quotient chain; in characteristic p the factors whose multiplicity
-    # is divisible by p survive in the residual, which is a p-th power.
-    p = f.domain.characteristic
-    fp = f.derivative()
-    if fp.is_zero():
-        _squarefree_accumulate(_pth_root(f), scale * p, acc)
-        return
-    g = poly_gcd(f, fp)
-    w = f.exact_div(g)
-    i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, g)
-        z = w.exact_div(y)
-        if z.degree > 0:
-            acc[z] = i * scale
-        w = y
-        g = g.exact_div(y)
-        i += 1
-    if g.degree > 0:
-        _squarefree_accumulate(_pth_root(g), scale * p, acc)
-
-
-def _pth_root(f: Poly) -> Poly:
-    """p-th root of a polynomial in GF(p)[x] whose derivative vanishes."""
-    p = f.domain.characteristic
-    if p == 0:
-        raise ArithmeticError("p-th root requested in characteristic 0")
-    cs = []
-    for k in range(0, f.degree + 1, p):
-        cs.append(f.coeff(k))  # c^(1/p) = c in the prime field
-    return Poly(f.domain, cs)
+    if isinstance(f.domain, PrimeField):
+        return _gfp_squarefree(_gfp_monic(a, f.domain.p), f.domain.p)
+    return _zx_squarefree(a)
 
 
 @dataclass(frozen=True)
@@ -690,190 +634,307 @@ def factor(f: Poly):
         raise ValueError("factorization of the zero polynomial")
     dom = f.domain
     if isinstance(dom, PrimeField):
-        terms = _factor_gfp(f)
+        def split(g):
+            return _gfp_split(_gfp_distinct_degree(g, dom.p), dom.p)
     elif isinstance(dom, RationalField):
-        terms = _factor_q(f)
+        split = _zx_factor
     else:
         raise DomainError(f"cannot factor over {dom}")
-    terms.sort(key=lambda t: (t.base.sort_key(), t.exponent))
-    return terms
+    return sorted((FactorTerm(_drop(dom, h), m) for g, m in _squarefree_parts(f)
+                   for h in split(g)), key=lambda t: (t.base.sort_key(), t.exponent))
 
 
-def _factor_gfp(f: Poly):
-    return [FactorTerm(h, mult) for g, mult in squarefree_decompose(f)
-            for h in _split_gfp(_distinct_degree(g))]
+# ---------------------------------------------------------------------------
+# The coefficient-list kernel: no list has a trailing zero, and [] is zero.
 
 
-def _distinct_degree(f: Poly):
-    """Pairs (g, d) for a monic square-free f over GF(p): g is the product
-    of the irreducible factors of f of degree d, for each d that occurs."""
-    dom = f.domain
-    x = Poly.x(dom)
-    out = []
-    rest, xq, d = f, x, 0    # xq = x^(p^d) mod rest
-    while rest.degree >= 2 * (d + 1):
-        d += 1
-        xq = _pow_mod(xq, dom.characteristic, rest)
-        g = poly_gcd(rest, xq - x)
-        if g.degree > 0:
-            out.append((g, d))
-            rest = rest.exact_div(g)
-            xq = xq % rest
-    if rest.degree > 0:
-        out.append((rest, rest.degree))
+def _zx_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zx_add(a: list, b: list, s: int = 1) -> list:
+    """a + s b."""
+    out = a + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] += s * c
+    return _zx_trim(out)
+
+
+def _zx_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 
-def _split_gfp(parts):
-    """The monic irreducible factors from distinct-degree parts (g, d), by
-    equal-degree splitting (Cantor & Zassenhaus)."""
-    rng = random.Random(0)   # any draw gives the same (unique) factors
-    return [h for g, d in parts for h in _equal_degree_split(g, d, rng)]
+def _zx_deriv(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
 
 
-def _equal_degree_split(f: Poly, d: int, rng):
-    """Monic factors of a monic square-free f whose irreducible factors all
-    have degree d; a random a splits f by gcd(f, a^((p^d - 1)/2) - 1), or by
-    the trace a + a^2 + ... + a^(2^(d - 1)) when p = 2."""
-    if f.degree == d:
-        return [f]
-    dom = f.domain
-    p = dom.characteristic
-    while True:
-        a = Poly(dom, [rng.randrange(p) for _ in range(f.degree)])
-        if p == 2:
-            b = t = a
-            for _ in range(d - 1):
-                t = (t * t) % f
-                b = b + t
+def _zx_primitive(a: list) -> list:
+    """a divided by its (positive) content."""
+    c = math.gcd(*a)
+    return a if c <= 1 else [x // c for x in a]
+
+
+def _zx_prem(a: list, b: list) -> list:
+    """A positive multiple of the remainder of a modulo a nonzero b in Q[x]."""
+    db, lb = len(b) - 1, b[-1]
+    r = a[:]
+    while len(r) > db:
+        c, k = r[-1], len(r) - 1 - db
+        if c % lb:
+            r = [x * abs(lb) for x in r]
+            c = c if lb > 0 else -c
         else:
-            b = _pow_mod(a, (p ** d - 1) // 2, f) - 1
-        g = poly_gcd(f, b)
-        if 0 < g.degree < f.degree:
-            return (_equal_degree_split(g, d, rng)
-                    + _equal_degree_split(f.exact_div(g), d, rng))
-
-
-def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    r = Poly.one(base.domain)
-    b = base % mod
-    while e:
-        if e & 1:
-            r = (r * b) % mod
-        b = (b * b) % mod
-        e >>= 1
+            c //= lb
+        for j in range(db):
+            r[k + j] -= c * b[j]
+        r.pop()
+        _zx_trim(r)
     return r
 
 
-def _factor_q(f: Poly):
-    return [FactorTerm(Poly(QQ, h.coeffs).monic(), mult)
-            for g, mult in squarefree_decompose(f)
-            for h in _factor_z(_primitive_int_poly(g)[0])]
+def _zx_gcd(a: list, b: list) -> list:
+    """Primitive gcd with a positive leading coefficient over Z, by the
+    primitive pseudo-remainder sequence; gcd(0, 0) = 0."""
+    a, b = _zx_primitive(a), _zx_primitive(b)
+    while b:
+        a, b = b, _zx_primitive(_zx_prem(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
-def _factor_z(g: Poly):
+def _zx_divide(a: list, b: list):
+    """The quotient a / b over Z when a nonzero b divides a, else None."""
+    if a and b[0] and a[0] % b[0]:    # b(0) divides a(0) when b divides a
+        return None
+    db, lb = len(b) - 1, b[-1]
+    r = a[:]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            return None
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return None if any(r[:db]) else q
+
+
+def _zx_squarefree(f: list):
+    """Yun's square-free decomposition of a nonconstant f over Z: [(g, m)]
+    with prod g^m = f up to a constant, the g primitive, square-free,
+    pairwise coprime and of positive leading coefficient."""
+    d1 = _zx_deriv(f)
+    g = _zx_gcd(f, d1)
+    b, c = _zx_divide(f, g), _zx_divide(d1, g)
+    out, m = [], 1
+    while len(b) > 1:
+        d = _zx_add(c, _zx_deriv(b), -1)
+        a = _zx_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, m))
+        b, c, m = _zx_divide(b, a), _zx_divide(d, a), m + 1
+    return out
+
+
+def _gfp_reduce(a: list, p: int) -> list:
+    return _zx_trim([c % p for c in a])
+
+
+def _gfp_mul(a: list, b: list, p: int) -> list:
+    return [c % p for c in _zx_mul(a, b)]   # the leading product is a unit
+
+
+def _gfp_divmod(a: list, b: list, p: int):
+    """(q, r) with a = q b + r and deg r < deg b over GF(p); b nonzero."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = a[:]
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] % p * inv % p
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return q, _gfp_reduce(r[:db], p)
+
+
+def _gfp_monic(a: list, p: int) -> list:
+    inv = pow(a[-1], -1, p) if a else 1
+    return a if inv == 1 else [c * inv % p for c in a]
+
+
+def _gfp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p); gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _gfp_divmod(a, b, p)[1]
+    return _gfp_monic(a, p)
+
+
+def _gfp_invmod(a: list, m: list, p: int) -> list:
+    """The inverse of a modulo m over GF(p), for a coprime to m."""
+    r0, r1, s0, s1 = m, a, [], [1]      # r_i = s_i a (mod m)
+    while r1:
+        q, r = _gfp_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, _gfp_reduce(_zx_add(s0, _gfp_mul(q, s1, p), -1), p)
+    return [c * pow(r0[0], -1, p) % p for c in s0]
+
+
+def _gfp_powmod(a: list, e: int, m: list, p: int) -> list:
+    """a^e modulo m over GF(p)."""
+    r, b = [1], _gfp_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            r = _gfp_divmod(_gfp_mul(r, b, p), m, p)[1]
+        e >>= 1
+        if e:
+            b = _gfp_divmod(_gfp_mul(b, b, p), m, p)[1]
+    return r
+
+
+def _gfp_squarefree(f: list, p: int):
+    """[(g, m)] with prod g^m = f for a monic nonconstant f over GF(p), by a
+    gcd-quotient chain; the factors whose multiplicity p divides survive in
+    the residual, a p-th power, whose p-th root (every p-th coefficient, as
+    c^p = c in GF(p)) is decomposed in turn."""
+    fp = _gfp_reduce(_zx_deriv(f), p)
+    if not fp:
+        return [(h, m * p) for h, m in _gfp_squarefree(f[::p], p)]
+    g = _gfp_gcd(f, fp, p)
+    w, out, i = _gfp_divmod(f, g, p)[0], [], 1
+    while len(w) > 1:
+        y = _gfp_gcd(w, g, p)
+        z = _gfp_divmod(w, y, p)[0]
+        if len(z) > 1:
+            out.append((z, i))
+        w, g, i = y, _gfp_divmod(g, y, p)[0], i + 1
+    if len(g) > 1:
+        out += [(h, m * p) for h, m in _gfp_squarefree(g[::p], p)]
+    return out
+
+
+def _gfp_distinct_degree(f: list, p: int):
+    """Pairs (g, d) for a monic square-free f over GF(p): g is the product
+    of the irreducible factors of f of degree d, for each d that occurs."""
+    out = []
+    rest, xq, d = f, [0, 1], 0    # xq = x^(p^d) mod rest
+    while len(rest) > 2 * (d + 1):
+        d += 1
+        xq = _gfp_powmod(xq, p, rest, p)
+        g = _gfp_gcd(rest, _gfp_reduce(_zx_add(xq, [0, -1]), p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            rest = _gfp_divmod(rest, g, p)[0]
+            xq = _gfp_divmod(xq, rest, p)[1]
+    if len(rest) > 1:
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+def _gfp_split(parts, p: int):
+    """The monic irreducible factors from distinct-degree parts (g, d), by
+    equal-degree splitting (Cantor & Zassenhaus): a random a splits a part
+    by gcd(g, a^((p^d - 1)/2) - 1), or by the trace a + a^2 + ... +
+    a^(2^(d - 1)) when p = 2."""
+    rng = random.Random(0)   # any draw gives the same (unique) factors
+
+    def split(f, d):
+        n = len(f) - 1
+        if n == d:
+            return [f]
+        while True:
+            a = _gfp_reduce([rng.randrange(p) for _ in range(n)], p)
+            if p == 2:
+                b = t = a
+                for _ in range(d - 1):
+                    t = _gfp_divmod(_gfp_mul(t, t, p), f, p)[1]
+                    b = _gfp_reduce(_zx_add(b, t), p)
+            else:
+                b = _gfp_reduce(_zx_add(_gfp_powmod(a, (p ** d - 1) // 2, f, p), [-1]), p)
+            g = _gfp_gcd(f, b, p)
+            if 1 < len(g) < len(f):
+                return split(g, d) + split(_gfp_divmod(f, g, p)[0], d)
+
+    return [h for g, d in parts for h in split(g, d)]
+
+
+def _zx_factor(g: list):
     """Irreducible factors over Z of a primitive square-free g with lc > 0
-    (Zassenhaus): split g modulo a good prime p, Hensel-lift the factors to
-    a modulus beyond twice the Mignotte bound, recombine subsets.
-
-    Good primes (p not dividing lc, g mod p square-free) are tried in
-    increasing order; of the first three, the one giving the fewest factors
-    is used, and a single factor modulo any of them proves g irreducible."""
-    n = g.degree
+    (Zassenhaus): split g modulo the good prime p (p does not divide lc, g
+    mod p is square-free) with the fewest factors among the first three, or
+    stop at one factor, which proves g irreducible; Hensel-lift the factors
+    beyond twice the Mignotte bound and recombine subsets."""
+    n = len(g) - 1
     best, count = None, n
     p = tried = 0
     while count > 1 and tried < 3:
         p += 1
-        if not _is_prime(p) or g.leading() % p == 0:
+        if not _is_prime(p) or g[-1] % p == 0:
             continue
-        gp = Poly(PrimeField(p), g.coeffs).monic()
-        if poly_gcd(gp, gp.derivative()).degree > 0:
+        gp = _gfp_monic(_gfp_reduce(g, p), p)
+        if len(_gfp_gcd(gp, _gfp_reduce(_zx_deriv(gp), p), p)) > 1:
             continue
         tried += 1
-        parts = _distinct_degree(gp)
-        k = sum(h.degree // d for h, d in parts)
+        parts = _gfp_distinct_degree(gp, p)
+        k = sum((len(h) - 1) // d for h, d in parts)
         if best is None or k < count:
-            best, count = parts, k
+            best, count, prime = parts, k, p
     if count == 1:
         return [g]
-    bound = ((math.isqrt(n + 1) + 1) * 2 ** n * g.leading()
-             * max(abs(c) for c in g.coeffs))
-    m = p = best[0][0].domain.characteristic
+    bound = (math.isqrt(n + 1) + 1) * 2 ** n * g[-1] * max(abs(c) for c in g)
+    m = prime
     while m <= 2 * bound:
-        m *= p
-    return _recombine(g, _hensel_lift(g, _split_gfp(best), m), m)
+        m *= prime
+    return _zx_recombine(g, _zx_hensel_lift(g, _gfp_split(best, prime), prime, m), m)
 
 
-def _hensel_lift(g: Poly, factors, m: int):
-    """Lift monic f_i over GF(p) with g = lc(g) prod f_i (mod p) to monic
-    integer u_i with g = lc(g) prod u_i (mod m), m a power of p."""
-    dom = factors[0].domain
-    p = dom.characteristic
-    lc_inv = pow(g.leading(), -1, m)
-    target = [c * lc_inv % m for c in g.coeffs]
-    full = math.prod(factors, start=Poly.one(dom))
+def _zx_hensel_lift(g: list, factors, p: int, m: int):
+    """Lift monic irreducible f_i over GF(p) with g = lc(g) prod f_i (mod p)
+    to monic integer u_i with g = lc(g) prod u_i (mod m), m a power of p."""
+    lc_inv = pow(g[-1], -1, m)
+    target = [c * lc_inv % m for c in g]
+    full = functools.reduce(lambda a, b: _gfp_mul(a, b, p), factors)
     # s_i = (prod_{j != i} f_j)^(-1) mod f_i, so sum_i s_i prod_{j != i} f_j = 1
-    inverses = [poly_extended_gcd(full.exact_div(f) % f, f)[1] for f in factors]
-    lifted = [Poly(ZZ, (c.v for c in f.coeffs)) for f in factors]
-    q = p
+    inverses = [_gfp_invmod(_gfp_divmod(full, f, p)[0], f, p) for f in factors]
+    lifted, q = factors, p
     while q < m:
-        prod = math.prod(lifted, start=Poly.one(ZZ))
-        err = Poly(dom, [(t - c) % (q * p) // q
-                         for t, c in zip(target, prod.coeffs)])
-        lifted = [u + Poly(ZZ, (q * c.v for c in (err * s % f).coeffs))
+        prod = [1]
+        for u in lifted:
+            prod = [c % (q * p) for c in _zx_mul(prod, u)]
+        err = _gfp_reduce([(t - c) % (q * p) // q for t, c in zip(target, prod)], p)
+        lifted = [_zx_add(u, _gfp_divmod(_gfp_mul(err, s, p), f, p)[1], q)
                   for u, s, f in zip(lifted, inverses, factors)]
         q *= p
     return lifted
 
 
-def _recombine(g: Poly, lifted, m: int):
+def _zx_recombine(g: list, lifted, m: int):
     """The factors of g over Z: the primitive parts of lc * (product of a
     subset of the lifted factors), taken in the symmetric range mod m, that
     divide g exactly; smallest subsets first."""
-    out = []
-    s = 1
+    out, s = [], 1
     while 2 * s <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), s):
-            cand = math.prod((lifted[i] for i in subset),
-                             start=Poly.constant(ZZ, g.leading()))
-            cs = [c % m - m if c % m > m // 2 else c % m for c in cand.coeffs]
-            h = Poly(ZZ, (c // math.gcd(*cs) for c in cs))
-            try:
-                q = g.exact_div(h)
-            except ArithmeticError:
-                continue
-            out.append(h)
-            g = q
-            lifted = [u for i, u in enumerate(lifted) if i not in subset]
-            break
+            cand = [g[-1]]
+            for i in subset:
+                cand = [c % m for c in _zx_mul(cand, lifted[i])]
+            h = _zx_primitive([c - m if c > m // 2 else c for c in cand])
+            q = _zx_divide(g, h)
+            if q is not None:
+                out.append(h)
+                g = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
         else:
             s += 1
     return out + [g]
-
-
-def _primitive_int_poly(f: Poly):
-    """Scale a rational polynomial to a primitive integer polynomial.
-
-    Returns (g, s) with g = s * f, g primitive over Z with positive leading
-    coefficient.
-    """
-    if f.is_zero():
-        return Poly.zero(ZZ), Fraction(1)
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    content = 0
-    for v in ints:
-        content = math.gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-        sign = -1
-    else:
-        sign = 1
-    scale = Fraction(sign * den, content)
-    return Poly(ZZ, ints), scale
 
 
 def rational_roots(f: Poly):
@@ -901,53 +962,36 @@ def _split_linear(terms):
 
 
 def _sturm_chain(f: Poly):
-    """Sturm chain of a square-free f, with positive-scalar scaling
-    (pseudo-remainders with content stripping) to limit coefficient growth."""
-    chain = [f]
-    if f.degree >= 1:
-        chain.append(_strip_content(f.derivative()))
-    while chain[-1].degree >= 1:
-        rem = -(chain[-2] % chain[-1])
-        if rem.is_zero():
-            break
-        chain.append(_strip_content(rem))
+    """Sturm chain of a square-free f as integer coefficient lists: each
+    member is a positive multiple of the classical one (f, f', then negated
+    remainders), so every sign, and every count below, is kept."""
+    chain = [_lift(f)]
+    chain.append(_zx_primitive(_zx_deriv(chain[0])))
+    while len(chain[-1]) >= 2:
+        chain.append(_zx_primitive([-c for c in _zx_prem(chain[-2], chain[-1])]))
     return chain
 
 
-def _strip_content(f: Poly) -> Poly:
-    # divide by the positive content; keeps the sign of every value
-    if f.is_zero():
-        return f
-    g, s = _primitive_int_poly(f)
-    sign = 1 if s > 0 else -1
-    return Poly(QQ, (sign * c for c in g.coeffs))
-
-
-def _sign_at(f: Poly, x) -> int:
-    if x == "-inf":
-        if f.is_zero():
-            return 0
-        lc = f.leading()
-        s = 1 if lc > 0 else -1
-        return s if f.degree % 2 == 0 else -s
-    if x == "+inf":
-        if f.is_zero():
-            return 0
-        return 1 if f.leading() > 0 else -1
-    v = f(x)
-    return 0 if v == 0 else (1 if v > 0 else -1)
-
-
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(f, x) for f in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain, a: int, b: int) -> int:
+    """Sign changes along an integer Sturm chain at the point (a : b), b >= 0:
+    the sign of a member f there is that of sum f_k a^k b^(deg f - k), so
+    (1 : 0) and (-1 : 0) stand for +infinity and -infinity."""
+    signs = []
+    for f in chain:
+        v, bk = 0, 1
+        for c in reversed(f):
+            v, bk = v * a + c * bk, bk * b
+        if v:
+            signs.append(v > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _chain_count(chain, lo=None, hi=None) -> int:
     """Distinct real roots in (lo, hi] counted against a prebuilt Sturm
     chain; ``None`` bounds mean -infinity / +infinity."""
-    return (_variations(chain, "-inf" if lo is None else lo)
-            - _variations(chain, "+inf" if hi is None else hi))
+    lo = (-1, 0) if lo is None else (lo.numerator, lo.denominator)
+    hi = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    return _variations(chain, *lo) - _variations(chain, *hi)
 
 
 def sturm_count(f: Poly, lo=None, hi=None) -> int:

@@ -333,13 +333,13 @@ def _root_multiplicities(terms, chain) -> Tuple[Tuple[object, int], ...]:
     rationals (the linear terms) come back as Fractions, irrational roots as
     sign-definite isolating RootIntervals of the product of the nonlinear
     terms of each multiplicity.  ``chain`` is the Sturm chain of the product
-    of all the bases; a product equal to its head reuses it."""
+    of all the bases; a product of its degree equals its head and reuses it."""
     out: List[Tuple[object, int]] = []
     for m in sorted({t.exponent for t in terms}):
         roots, rest = _split_linear([t for t in terms if t.exponent == m])
         out.extend(roots)
         if rest.degree >= 1:
-            rest_chain = chain if rest == chain[0] else _sturm_chain(rest)
+            rest_chain = chain if rest.degree == len(chain[0]) - 1 else _sturm_chain(rest)
             for iv in _isolate(rest, rest_chain, ()):
                 out.append((_sign_definite(rest_chain, iv), m))
     out.sort(key=_root_position)

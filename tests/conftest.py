@@ -10,11 +10,14 @@ import pytest
 
 from canonforms.algebra import (
     QQ,
+    ZZ,
     DomainError,
+    FactorTerm,
     IntegerRing,
     Poly,
     PrimeField,
     VerificationError,
+    _is_prime,
     scalar_is_zero,
 )
 from canonforms.canonical import _block_sort_key, _checked, _krylov_transform, hypercompanion
@@ -79,11 +82,248 @@ def rational_roots_by_divisors(f: Poly):
     for r in sorted(cands):
         mult = 0
         while fq(r) == 0:
-            fq = fq.exact_div(Poly.linear(QQ, r))
+            fq = exact_div(fq, Poly.linear(QQ, r))
             mult += 1
         if mult:
             roots.append((r, mult))
     return sorted(roots)
+
+
+def exact_div(f: Poly, g: Poly) -> Poly:
+    """f / g, raising ArithmeticError unless g divides f (over Z, with an
+    integer quotient)."""
+    if g.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if f.domain.is_field or g.leading() in (1, -1):
+        q, r = divmod(f, g)
+        if not r.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return q
+    q, r = divmod(Poly(QQ, f.coeffs), Poly(QQ, g.coeffs))
+    if not r.is_zero() or any(c.denominator != 1 for c in q.coeffs):
+        raise ArithmeticError("inexact polynomial division over Z")
+    return Poly(f.domain, (c.numerator for c in q.coeffs))
+
+
+def derivative(f: Poly) -> Poly:
+    return Poly(f.domain, (k * c for k, c in enumerate(f.coeffs) if k >= 1))
+
+
+# The factorization engine that ``algebra`` ran on ``Poly`` objects before
+# gcd, square-free decomposition and factor moved to integer coefficient
+# lists, kept as the oracle of that kernel: Euclid's gcd over the field, the
+# gcd-quotient chain with p-th roots, distinct- and equal-degree splitting
+# over GF(p), and over Q Zassenhaus with linear Hensel lifting and subset
+# recombination.
+
+
+def gcd_by_poly(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over a field by Euclid's algorithm; gcd(0, 0) = 0."""
+    a, b = f, g
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def extended_gcd_by_poly(f: Poly, g: Poly):
+    """(d, s, t) with s*f + t*g = d monic."""
+    dom = f.domain
+    r0, r1 = f, g
+    s0, s1 = Poly.one(dom), Poly.zero(dom)
+    t0, t1 = Poly.zero(dom), Poly.one(dom)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    inv = dom.one / r0.leading()
+    return (Poly(dom, (c * inv for c in r0.coeffs)), Poly(dom, (c * inv for c in s0.coeffs)),
+            Poly(dom, (c * inv for c in t0.coeffs)))
+
+
+def squarefree_by_poly(f: Poly):
+    """[(g, m)] as ``squarefree_decompose`` returns them."""
+    f = f.monic()
+    if f.degree <= 0:
+        return []
+    acc: dict = {}
+    _squarefree_accumulate(f, 1, acc)
+    return sorted(acc.items(), key=lambda t: (t[1], t[0].sort_key()))
+
+
+def _squarefree_accumulate(f: Poly, scale: int, acc: dict) -> None:
+    # gcd-quotient chain; in characteristic p the factors whose multiplicity
+    # is divisible by p survive in the residual, which is a p-th power
+    p = f.domain.characteristic
+    fp = derivative(f)
+    if fp.is_zero():
+        _squarefree_accumulate(_pth_root(f), scale * p, acc)
+        return
+    g = gcd_by_poly(f, fp)
+    w = exact_div(f, g)
+    i = 1
+    while w.degree > 0:
+        y = gcd_by_poly(w, g)
+        z = exact_div(w, y)
+        if z.degree > 0:
+            acc[z] = i * scale
+        w = y
+        g = exact_div(g, y)
+        i += 1
+    if g.degree > 0:
+        _squarefree_accumulate(_pth_root(g), scale * p, acc)
+
+
+def _pth_root(f: Poly) -> Poly:
+    """p-th root of a polynomial in GF(p)[x] whose derivative vanishes
+    (c^(1/p) = c in the prime field)."""
+    p = f.domain.characteristic
+    return Poly(f.domain, [f.coeff(k) for k in range(0, f.degree + 1, p)])
+
+
+def factor_by_poly(f: Poly):
+    """[FactorTerm] as ``factor`` returns them."""
+    if isinstance(f.domain, PrimeField):
+        terms = [FactorTerm(h, mult) for g, mult in squarefree_by_poly(f)
+                 for h in _split_gfp(_distinct_degree(g))]
+    else:
+        terms = [FactorTerm(Poly(QQ, h.coeffs).monic(), mult)
+                 for g, mult in squarefree_by_poly(f)
+                 for h in _factor_z(_primitive_int_poly(g))]
+    terms.sort(key=lambda t: (t.base.sort_key(), t.exponent))
+    return terms
+
+
+def _distinct_degree(f: Poly):
+    dom = f.domain
+    x = Poly.x(dom)
+    out = []
+    rest, xq, d = f, x, 0    # xq = x^(p^d) mod rest
+    while rest.degree >= 2 * (d + 1):
+        d += 1
+        xq = _pow_mod(xq, dom.characteristic, rest)
+        g = gcd_by_poly(rest, xq - x)
+        if g.degree > 0:
+            out.append((g, d))
+            rest = exact_div(rest, g)
+            xq = xq % rest
+    if rest.degree > 0:
+        out.append((rest, rest.degree))
+    return out
+
+
+def _split_gfp(parts):
+    rng = random.Random(0)
+    return [h for g, d in parts for h in _equal_degree_split(g, d, rng)]
+
+
+def _equal_degree_split(f: Poly, d: int, rng):
+    if f.degree == d:
+        return [f]
+    dom = f.domain
+    p = dom.characteristic
+    while True:
+        a = Poly(dom, [rng.randrange(p) for _ in range(f.degree)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = (t * t) % f
+                b = b + t
+        else:
+            b = _pow_mod(a, (p ** d - 1) // 2, f) - 1
+        g = gcd_by_poly(f, b)
+        if 0 < g.degree < f.degree:
+            return (_equal_degree_split(g, d, rng)
+                    + _equal_degree_split(exact_div(f, g), d, rng))
+
+
+def _pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
+    r = Poly.one(base.domain)
+    b = base % mod
+    while e:
+        if e & 1:
+            r = (r * b) % mod
+        b = (b * b) % mod
+        e >>= 1
+    return r
+
+
+def _primitive_int_poly(f: Poly) -> Poly:
+    """The primitive integer multiple of f over Q with positive leading
+    coefficient, over ZZ."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    content = math.gcd(*ints)
+    sign = -1 if ints[-1] < 0 else 1
+    return Poly(ZZ, [sign * v // content for v in ints])
+
+
+def _factor_z(g: Poly):
+    n = g.degree
+    best, count = None, n
+    p = tried = 0
+    while count > 1 and tried < 3:
+        p += 1
+        if not _is_prime(p) or g.leading() % p == 0:
+            continue
+        gp = Poly(PrimeField(p), g.coeffs).monic()
+        if gcd_by_poly(gp, derivative(gp)).degree > 0:
+            continue
+        tried += 1
+        parts = _distinct_degree(gp)
+        k = sum(h.degree // d for h, d in parts)
+        if best is None or k < count:
+            best, count = parts, k
+    if count == 1:
+        return [g]
+    bound = ((math.isqrt(n + 1) + 1) * 2 ** n * g.leading()
+             * max(abs(c) for c in g.coeffs))
+    m = p = best[0][0].domain.characteristic
+    while m <= 2 * bound:
+        m *= p
+    return _recombine(g, _hensel_lift(g, _split_gfp(best), m), m)
+
+
+def _hensel_lift(g: Poly, factors, m: int):
+    """Lift monic f_i over GF(p) with g = lc(g) prod f_i (mod p) to monic
+    integer u_i with g = lc(g) prod u_i (mod m), m a power of p."""
+    dom = factors[0].domain
+    p = dom.characteristic
+    lc_inv = pow(g.leading(), -1, m)
+    target = [c * lc_inv % m for c in g.coeffs]
+    full = math.prod(factors, start=Poly.one(dom))
+    inverses = [extended_gcd_by_poly(exact_div(full, f) % f, f)[1] for f in factors]
+    lifted = [Poly(ZZ, (c.v for c in f.coeffs)) for f in factors]
+    q = p
+    while q < m:
+        prod = math.prod(lifted, start=Poly.one(ZZ))
+        err = Poly(dom, [(t - c) % (q * p) // q for t, c in zip(target, prod.coeffs)])
+        lifted = [u + Poly(ZZ, (q * c.v for c in (err * s % f).coeffs))
+                  for u, s, f in zip(lifted, inverses, factors)]
+        q *= p
+    return lifted
+
+
+def _recombine(g: Poly, lifted, m: int):
+    out = []
+    s = 1
+    while 2 * s <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), s):
+            cand = math.prod((lifted[i] for i in subset),
+                             start=Poly.constant(ZZ, g.leading()))
+            cs = [c % m - m if c % m > m // 2 else c % m for c in cand.coeffs]
+            h = Poly(ZZ, (c // math.gcd(*cs) for c in cs))
+            try:
+                q = exact_div(g, h)
+            except ArithmeticError:
+                continue
+            out.append(h)
+            g = q
+            lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            break
+        else:
+            s += 1
+    return out + [g]
 
 
 def det_cofactor(m: Mat):
@@ -205,7 +445,8 @@ def smith_summands(a: Mat):
     n = s.rows
     return tuple(
         (s.entries[k][k],
-         tuple(e.exact_div(s.entries[k][k]) for e in (x_mat * v.submatrix(range(n), (k,))).col(0)))
+         tuple(exact_div(e, s.entries[k][k])
+               for e in (x_mat * v.submatrix(range(n), (k,))).col(0)))
         for k in range(n) if s.entries[k][k].degree >= 1)
 
 
@@ -234,7 +475,7 @@ def smith_route_form(a: Mat, kind: str):
             keyed.append((_block_sort_key(base, e), len(summands) - 1 - seen[base], base, e))
             seen[base] += 1
         pieces = [(base, e, smith_generator(a, summands[k][1],
-                                            summands[k][0].exact_div(base ** e)))
+                                            exact_div(summands[k][0], base ** e)))
                   for _, k, base, e in sorted(keyed, key=lambda t: t[:2])]
     form = Mat.block_diagonal(a.domain, [hypercompanion(b, e) for b, e, _ in pieces])
     return form, _checked(a, _krylov_transform(a, pieces), form)

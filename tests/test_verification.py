@@ -537,6 +537,61 @@ def test_lint_finds_polynomial_matrix_names(tmp_path):
     assert _names_defined(path) == {"f", "C", "_adjugate_column"}
 
 
+# algebra.py runs gcd, square-free decomposition and factor on one kernel of
+# integer coefficient lists: the kernel functions (_gfp_*, _zx_*) name no
+# Poly, GFElement or Fraction, and factor, squarefree_decompose and poly_gcd
+# each reach the kernel through the module's own calls
+_KERNEL_ENTRIES = ("factor", "squarefree_decompose", "poly_gcd")
+
+
+def _kernel_report(path):
+    """(kernel functions, those naming a scalar or Poly class, entries that
+    reach the kernel)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = {name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+             for name, node in funcs.items()}
+    kernel = {name for name in funcs if name.startswith(("_gfp_", "_zx_"))}
+    leaks = {name for name in kernel if names[name] & {"Poly", "GFElement", "Fraction"}}
+
+    def reaches(name):
+        seen, todo = set(), [name]
+        while todo:
+            cur = todo.pop()
+            if cur in kernel:
+                return True
+            if cur not in seen and cur in funcs:
+                seen.add(cur)
+                todo.extend(names[cur])
+        return False
+
+    return kernel, leaks, {name for name in _KERNEL_ENTRIES if reaches(name)}
+
+
+def test_gcd_squarefree_and_factor_run_on_the_list_kernel():
+    kernel, leaks, entries = _kernel_report(SRC / "canonforms" / "algebra.py")
+    assert {"_gfp_gcd", "_zx_gcd", "_zx_squarefree", "_zx_factor"} <= kernel
+    assert leaks == set()
+    assert entries == set(_KERNEL_ENTRIES)
+
+
+def test_lint_finds_kernel_leaks_and_entries(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def _zx_ok(a):\n    return [c for c in a]\n"
+                    "def _gfp_bad(a):\n    return Poly(a)\n"
+                    "def _zx_attr(a):\n    return a.Fraction\n"
+                    "def helper(f):\n    return _zx_ok(f)\n"
+                    "def factor(f):\n    return helper(f)\n"
+                    "def poly_gcd(f, g):\n    return Poly(f)\n"
+                    "def squarefree_decompose(f):\n"
+                    "    def inner():\n        return _gfp_bad(f)\n    return inner()\n",
+                    encoding="utf-8")
+    assert _kernel_report(path) == ({"_zx_ok", "_gfp_bad", "_zx_attr"},
+                                    {"_gfp_bad", "_zx_attr"},
+                                    {"factor", "squarefree_decompose"})
+
+
 # ---------------------------------------------------------------------------
 # exit code 3: a failed internal check reaches the CLI user as one line
 
